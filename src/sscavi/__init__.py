@@ -5,7 +5,6 @@ ascent for the mean-field spike-and-slab posterior, plus analytic Jacobians,
 spectral radii, and contraction diagnostics at their shared fixed points.
 """
 
-from .backend import BACKEND, HAVE_COMPILED, available_backends
 from .engines import (
     FixedPointError,
     RunConfig,
@@ -13,10 +12,8 @@ from .engines import (
     Scheme,
     fixed_point,
     par_sweep,
-    par_sweep_matrix,
     run,
     seq_sweep,
-    seq_sweep_matrix,
 )
 from .model import (
     Dataset,
@@ -52,9 +49,6 @@ from .synth import GenSpec, gen_design, gen_response, make_beta, make_dataset
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
-    "HAVE_COMPILED",
-    "available_backends",
     "Dataset",
     "Hyperparams",
     "Precomputed",
@@ -71,9 +65,7 @@ __all__ = [
     "RunTrace",
     "FixedPointError",
     "seq_sweep",
-    "seq_sweep_matrix",
     "par_sweep",
-    "par_sweep_matrix",
     "run",
     "fixed_point",
     "ScaledOperators",

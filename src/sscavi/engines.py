@@ -12,16 +12,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dsymv, dtrsv
 
-from . import backend
 from .model import (
     Dataset,
     Hyperparams,
     Precomputed,
     VariationalState,
     elbo as _elbo,
-    inclusion_logit_offset,
     inclusion_prob,
     precompute,
 )
@@ -32,9 +30,7 @@ __all__ = [
     "RunTrace",
     "FixedPointError",
     "seq_sweep",
-    "seq_sweep_matrix",
     "par_sweep",
-    "par_sweep_matrix",
     "run",
     "fixed_point",
 ]
@@ -112,6 +108,24 @@ def _resolve_alpha(mu, pre, hyper, alpha_override):
     return inclusion_prob(mu, pre.a, hyper)
 
 
+def _seq_sweep_refresh(mu, alpha, pre: Precomputed, hyper: Hyperparams) -> np.ndarray:
+    """Sequential sweep that refreshes alpha[j] right after mu[j] updates.
+
+    Each coordinate's probability depends on its fresh mean, so the sweep is
+    order-nonlinear and stays a loop over coordinates. Row j of the Gram
+    matrix is read from the stored triangle: ``low[j, :j]`` to its left and
+    ``low[j+1:, j]`` to its right.
+    """
+    low = pre.xtx_lower
+    weighted = alpha * mu  # fresh entries below j, entry-state entries above
+    mu_new = np.empty_like(mu)
+    for j in range(pre.p):
+        acc = pre.xty[j] - low[j, :j] @ weighted[:j] - low[j + 1 :, j] @ weighted[j + 1 :]
+        mu_new[j] = acc / pre.d[j]
+        weighted[j] = inclusion_prob(mu_new[j], pre.a[j], hyper) * mu_new[j]
+    return mu_new
+
+
 def seq_sweep(
     mu,
     pre: Precomputed,
@@ -121,62 +135,34 @@ def seq_sweep(
 ) -> np.ndarray:
     """One sequential sweep starting from ``mu``.
 
-    With ``refresh_alpha`` the inclusion probability of a coordinate is
-    recomputed immediately after that coordinate updates; otherwise all
-    probabilities stay frozen at their entry values. ``alpha_override`` pins
-    the probabilities explicitly (e.g. all ones for the ridge degeneracy).
+    With the probabilities frozen at their entry values the sweep is one
+    Gauss-Seidel step: it solves the lower-triangular system
+    ``(D + L diag(alpha)) mu' = xty - L^T (alpha * mu)``, L the strict lower
+    Gram triangle. With ``refresh_alpha`` the inclusion probability of a
+    coordinate is recomputed immediately after that coordinate updates.
+    ``alpha_override`` pins the probabilities explicitly (e.g. all ones for
+    the ridge degeneracy). Non-finite inputs give non-finite outputs rather
+    than an exception, so :func:`run` can report them as divergence.
     """
     mu = np.ascontiguousarray(mu, dtype=np.float64)
     alpha = _resolve_alpha(mu, pre, hyper, alpha_override)
-    mu_new = np.empty_like(mu)
     if refresh_alpha and alpha_override is None:
-        offsets = inclusion_logit_offset(pre.a, hyper)
-        backend.seq_sweep_refresh_kernel(
-            mu_new, mu, alpha.copy(), pre.xtx, pre.a, pre.xty, hyper.sigma2, offsets
-        )
-    else:
-        backend.seq_sweep_kernel(
-            mu_new, mu, alpha, pre.xtx, pre.a, pre.xty, hyper.sigma2
-        )
-    return mu_new
-
-
-def seq_sweep_matrix(
-    mu, pre: Precomputed, hyper: Hyperparams, alpha_override=None
-) -> np.ndarray:
-    """Matrix form of the sequential sweep (frozen alpha only).
-
-    Solves the lower-triangular system (D + L_low diag(alpha)) mu' =
-    xty - L_low^T diag(alpha) mu by forward substitution, where L_low is the
-    strict lower triangle of the Gram matrix. Dual route to :func:`seq_sweep`
-    for cross-checking.
-    """
-    mu = np.asarray(mu, dtype=np.float64)
-    alpha = _resolve_alpha(mu, pre, hyper, alpha_override)
-    lower_sys = pre.xtx_lower * alpha[np.newaxis, :]
-    np.fill_diagonal(lower_sys, pre.d)
+        return _seq_sweep_refresh(mu, alpha, pre, hyper)
+    sweep_sys = pre.xtx_lower * alpha
+    np.fill_diagonal(sweep_sys, pre.d)
     rhs = pre.xty - pre.xtx_lower.T @ (alpha * mu)
-    return solve_triangular(lower_sys, rhs, lower=True)
+    # the transpose is the Fortran-ordered upper triangle: solve it transposed, no copy
+    return dtrsv(sweep_sys.T, rhs, lower=0, trans=1)
 
 
 def par_sweep(
     mu, pre: Precomputed, hyper: Hyperparams, alpha_override=None
 ) -> np.ndarray:
-    """One parallel sweep starting from ``mu``."""
+    """One parallel sweep starting from ``mu``: D^{-1}(xty - (L + L^T)(alpha * mu))."""
     mu = np.ascontiguousarray(mu, dtype=np.float64)
     alpha = _resolve_alpha(mu, pre, hyper, alpha_override)
-    mu_new = np.empty_like(mu)
-    backend.par_sweep_kernel(mu_new, mu, alpha, pre.xtx, pre.a, pre.xty, hyper.sigma2)
-    return mu_new
-
-
-def par_sweep_matrix(
-    mu, pre: Precomputed, hyper: Hyperparams, alpha_override=None
-) -> np.ndarray:
-    """Matrix form of the parallel sweep: D^{-1}(xty - offdiag(Gram) diag(alpha) mu)."""
-    mu = np.asarray(mu, dtype=np.float64)
-    alpha = _resolve_alpha(mu, pre, hyper, alpha_override)
-    coupled = (pre.xtx_lower + pre.xtx_lower.T) @ (alpha * mu)
+    # the stored triangle, read as the upper triangle of its Fortran-ordered transpose
+    coupled = dsymv(1.0, pre.xtx_lower.T, alpha * mu, lower=0)
     return (pre.xty - coupled) / pre.d
 
 
@@ -281,11 +267,12 @@ def fixed_point(
     mu = trace.final_state.mu
     target = 10.0 * cfg.tol
     for _ in range(max_polish):
-        seq_res = float(np.max(np.abs(seq_sweep(mu, pre, hyper) - mu)))
+        swept = seq_sweep(mu, pre, hyper)
+        seq_res = float(np.max(np.abs(swept - mu)))
         par_res = float(np.max(np.abs(par_sweep(mu, pre, hyper) - mu)))
         if seq_res < target and par_res < target:
             return VariationalState.from_mu(mu, pre, hyper)
-        mu = seq_sweep(mu, pre, hyper)
+        mu = swept
     raise FixedPointError(
         "fixed-point residuals did not reach the target after polishing", trace
     )

@@ -106,22 +106,26 @@ class Precomputed:
     ----------
     a : per-coordinate slab-posterior precisions, ``|X_j|^2 / sigma2 + tau``.
     d : diagonal of the sweep normalizer, ``sigma2 * a`` (= ``|X_j|^2 + sigma2*tau``).
-    col_sq_norms : squared column norms of the design.
-    xtx : Gram matrix of the design.
-    xtx_lower : strict lower triangle of ``xtx`` (zero diagonal).
+    col_sq_norms : squared column norms of the design (the Gram diagonal).
+    xtx_lower : strict lower triangle of the Gram matrix (zero diagonal); the
+        only stored copy of the off-diagonal Gram entries.
     xty : design-response cross moments.
     """
 
     a: np.ndarray
     d: np.ndarray
     col_sq_norms: np.ndarray
-    xtx: np.ndarray
     xtx_lower: np.ndarray
     xty: np.ndarray
 
     @property
     def p(self) -> int:
         return self.a.shape[0]
+
+    @property
+    def xtx(self) -> np.ndarray:
+        """Dense Gram matrix, rebuilt from the stored triangle on every access."""
+        return self.xtx_lower + self.xtx_lower.T + np.diag(self.col_sq_norms)
 
 
 def precompute(dataset: Dataset, hyper: Hyperparams) -> Precomputed:
@@ -134,14 +138,12 @@ def precompute(dataset: Dataset, hyper: Hyperparams) -> Precomputed:
     col_sq_norms = np.einsum("ij,ij->j", X, X)
     a = col_sq_norms / hyper.sigma2 + hyper.tau
     d = hyper.sigma2 * a
-    xtx = np.ascontiguousarray(X.T @ X)
-    xtx_lower = np.tril(xtx, k=-1)
+    xtx_lower = np.tril(X.T @ X, k=-1)
     xty = X.T @ dataset.y
     return Precomputed(
         a=a,
         d=d,
         col_sq_norms=col_sq_norms,
-        xtx=xtx,
         xtx_lower=xtx_lower,
         xty=xty,
     )

@@ -1,96 +1,58 @@
-"""Backend dispatcher tests: both kernel implementations must agree."""
+"""Sweep kernels against the coordinate-loop oracle of ``sscavi.verify``.
+
+The production sequential sweep is one triangular solve and the parallel
+sweep one symmetric matrix-vector product; these tests hold the solve to the
+explicit loop and check that both sweeps pass non-finite input through.
+"""
 
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from sscavi import backend
-from sscavi.model import Hyperparams, inclusion_logit_offset, inclusion_prob, precompute
+from sscavi.engines import par_sweep, seq_sweep
+from sscavi.model import Dataset, Hyperparams, inclusion_prob, precompute
 from sscavi.synth import GenSpec, make_dataset
+from sscavi.verify import coordinate_seq_sweep
 
 HYPER = Hyperparams(pi=0.5, tau=1.0, sigma2=1.0)
 
-needs_compiled = pytest.mark.skipif(
-    not backend.HAVE_COMPILED, reason="compiled kernels not built"
-)
+entries = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_subnormal=False)
+probs = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
 
 
-def _instance(p=20, seed=5):
-    ds = make_dataset(GenSpec(n=80, p=p, s=p // 2, seed=seed))
+@st.composite
+def sweep_inputs(draw):
+    """A design with p in [1, 12], optionally one zero column, a mean vector
+    and either no override or an alpha override with exact 0s and 1s."""
+    p = draw(st.integers(min_value=1, max_value=12))
+    n = draw(st.integers(min_value=1, max_value=15))
+    X = draw(arrays(np.float64, (n, p), elements=entries))
+    zero_col = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=p - 1)))
+    if zero_col is not None:
+        X[:, zero_col] = 0.0
+    y = draw(arrays(np.float64, n, elements=entries))
+    mu = draw(arrays(np.float64, p, elements=entries))
+    alpha = draw(st.one_of(st.none(), arrays(np.float64, p, elements=probs)))
+    return Dataset(X=X, y=y), mu, alpha
+
+
+@given(sweep_inputs())
+@settings(max_examples=300, deadline=None)
+def test_seq_sweep_matches_coordinate_loop(inputs):
+    ds, mu, alpha_override = inputs
     pre = precompute(ds, HYPER)
-    rng = np.random.default_rng(seed)
-    mu = rng.standard_normal(p)
-    alpha = inclusion_prob(mu, pre.a, HYPER)
-    return pre, mu, alpha
-
-
-def test_dispatcher_exposes_active_backend():
-    assert backend.BACKEND in ("compiled", "python")
-    assert backend.BACKEND in backend.available_backends()
-    with pytest.raises(ValueError):
-        backend.get_backend("fortran")
-
-
-@needs_compiled
-@pytest.mark.parametrize("kernel", ["seq_sweep", "par_sweep"])
-def test_compiled_and_python_kernels_agree(kernel):
-    pre, mu, alpha = _instance()
-    outs = []
-    for name in ("compiled", "python"):
-        impl = getattr(backend.get_backend(name), kernel)
-        mu_new = np.empty_like(mu)
-        impl(mu_new, mu, alpha, pre.xtx, pre.a, pre.xty, HYPER.sigma2)
-        outs.append(mu_new)
-    np.testing.assert_allclose(outs[0], outs[1], atol=1e-12)
-
-
-@needs_compiled
-def test_refresh_kernels_agree():
-    pre, mu, alpha = _instance()
-    offsets = inclusion_logit_offset(pre.a, HYPER)
-    outs = []
-    for name in ("compiled", "python"):
-        impl = backend.get_backend(name).seq_sweep_refresh
-        mu_new = np.empty_like(mu)
-        alpha_work = alpha.copy()
-        impl(mu_new, mu, alpha_work, pre.xtx, pre.a, pre.xty, HYPER.sigma2, offsets)
-        outs.append((mu_new, alpha_work))
-    np.testing.assert_allclose(outs[0][0], outs[1][0], atol=1e-12)
-    np.testing.assert_allclose(outs[0][1], outs[1][1], atol=1e-12)
-
-
-def test_import_falls_back_when_extension_missing(monkeypatch):
-    import importlib
-    import sys
-
-    from sscavi import backend as backend_mod
-
-    class _Blocker:
-        def find_spec(self, name, path=None, target=None):
-            if name == "sscavi._sweeps":
-                raise ImportError("blocked for the fallback test")
-            return None
-
-    import sscavi
-
-    monkeypatch.delitem(sys.modules, "sscavi._sweeps", raising=False)
-    monkeypatch.delattr(sscavi, "_sweeps", raising=False)
-    monkeypatch.setattr(sys, "meta_path", [_Blocker()] + sys.meta_path)
-    try:
-        reloaded = importlib.reload(backend_mod)
-        assert reloaded.BACKEND == "python"
-        assert reloaded.available_backends() == ["python"]
-        assert not reloaded.HAVE_COMPILED
-    finally:
-        monkeypatch.undo()
-        importlib.reload(backend_mod)
+    alpha = inclusion_prob(mu, pre.a, HYPER) if alpha_override is None else alpha_override
+    expected = coordinate_seq_sweep(mu, alpha, pre)
+    got = seq_sweep(mu, pre, HYPER, alpha_override=alpha_override)
+    scale = max(float(np.max(np.abs(expected))), np.finfo(float).tiny)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * scale
 
 
 def test_python_kernels_propagate_nonfinite():
-    pre, mu, alpha = _instance(p=6, seed=2)
-    mu = mu.copy()
+    ds = make_dataset(GenSpec(n=80, p=6, s=3, seed=2))
+    pre = precompute(ds, HYPER)
+    mu = np.random.default_rng(2).standard_normal(6)
     mu[0] = np.nan
-    mu_new = np.empty_like(mu)
-    backend.get_backend("python").par_sweep(
-        mu_new, mu, alpha, pre.xtx, pre.a, pre.xty, HYPER.sigma2
-    )
-    assert np.any(~np.isfinite(mu_new))
+    for sweep in (seq_sweep, par_sweep):
+        assert np.any(~np.isfinite(sweep(mu, pre, HYPER)))

@@ -10,14 +10,17 @@ from sscavi.engines import (
     Scheme,
     fixed_point,
     par_sweep,
-    par_sweep_matrix,
     run,
     seq_sweep,
-    seq_sweep_matrix,
 )
 from sscavi.model import Dataset, Hyperparams, inclusion_prob, precompute
 from sscavi.synth import GenSpec, make_dataset
-from sscavi.verify import textbook_gauss_seidel_sweep, textbook_jacobi_sweep
+from sscavi.verify import (
+    coordinate_seq_sweep,
+    dense_par_sweep,
+    textbook_gauss_seidel_sweep,
+    textbook_jacobi_sweep,
+)
 
 from conftest import elbo_nondecreasing
 
@@ -56,11 +59,17 @@ def test_sweep_dual_forms_agree():
     rng = np.random.default_rng(7)
     for _ in range(5):
         mu = rng.standard_normal(8)
+        alpha = inclusion_prob(mu, pre.a, HYPER)
         np.testing.assert_allclose(
-            seq_sweep(mu, pre, HYPER), seq_sweep_matrix(mu, pre, HYPER), atol=1e-10
+            seq_sweep(mu, pre, HYPER), coordinate_seq_sweep(mu, alpha, pre), atol=1e-10
         )
         np.testing.assert_allclose(
-            par_sweep(mu, pre, HYPER), par_sweep_matrix(mu, pre, HYPER), atol=1e-10
+            par_sweep(mu, pre, HYPER), dense_par_sweep(mu, alpha, pre), atol=1e-10
+        )
+        np.testing.assert_allclose(
+            seq_sweep(mu, pre, HYPER, refresh_alpha=True),
+            coordinate_seq_sweep(mu, alpha, pre, refresh_hyper=HYPER),
+            atol=1e-10,
         )
 
 
@@ -119,6 +128,10 @@ def test_pinned_sweeps_match_textbook_splittings(seed):
         textbook_jacobi_sweep(ridge, pre.xty, x),
         atol=1e-12,
     )
+    # pinned at zero, every coordinate decouples: both sweeps give xty / d exactly
+    zeros = np.zeros(10)
+    np.testing.assert_array_equal(seq_sweep(x, pre, HYPER, alpha_override=zeros), pre.xty / pre.d)
+    np.testing.assert_array_equal(par_sweep(x, pre, HYPER, alpha_override=zeros), pre.xty / pre.d)
 
 
 def test_pinned_sequential_run_solves_ridge_system():
