@@ -30,6 +30,7 @@ __all__ = [
     "RunTrace",
     "FixedPointError",
     "seq_sweep",
+    "seq_sweep_system",
     "par_sweep",
     "run",
     "fixed_point",
@@ -37,6 +38,7 @@ __all__ = [
 
 SEQUENTIAL = "sequential"
 PARALLEL = "parallel"
+_MAX_POLISH = 200
 
 
 @dataclass(frozen=True)
@@ -126,6 +128,13 @@ def _seq_sweep_refresh(mu, alpha, pre: Precomputed, hyper: Hyperparams) -> np.nd
     return mu_new
 
 
+def seq_sweep_system(alpha, pre: Precomputed) -> np.ndarray:
+    """The sequential sweep's lower-triangular system D + L diag(alpha), L the Gram triangle."""
+    sweep_sys = pre.xtx_lower * alpha
+    np.fill_diagonal(sweep_sys, pre.d)
+    return sweep_sys
+
+
 def seq_sweep(
     mu,
     pre: Precomputed,
@@ -148,11 +157,9 @@ def seq_sweep(
     alpha = _resolve_alpha(mu, pre, hyper, alpha_override)
     if refresh_alpha and alpha_override is None:
         return _seq_sweep_refresh(mu, alpha, pre, hyper)
-    sweep_sys = pre.xtx_lower * alpha
-    np.fill_diagonal(sweep_sys, pre.d)
     rhs = pre.xty - pre.xtx_lower.T @ (alpha * mu)
     # the transpose is the Fortran-ordered upper triangle: solve it transposed, no copy
-    return dtrsv(sweep_sys.T, rhs, lower=0, trans=1)
+    return dtrsv(seq_sweep_system(alpha, pre).T, rhs, lower=0, trans=1)
 
 
 def par_sweep(
@@ -247,14 +254,13 @@ def fixed_point(
     hyper: Hyperparams,
     cfg: RunConfig = RunConfig(),
     pre: Optional[Precomputed] = None,
-    max_polish: int = 200,
 ) -> VariationalState:
     """Converge the sequential scheme and certify the result as a fixed point.
 
     Both schemes share their fixed points, so the returned state must leave
     each one-sweep map nearly invariant: residuals below ``10 * cfg.tol`` in
-    sup norm. A few extra polishing sweeps tighten the parallel residual when
-    needed; persistent failure raises :class:`FixedPointError` with the trace.
+    sup norm. Up to ``_MAX_POLISH`` polishing sweeps tighten the parallel residual
+    when needed; persistent failure raises :class:`FixedPointError` with the trace.
     """
     if pre is None:
         pre = precompute(dataset, hyper)
@@ -266,7 +272,7 @@ def fixed_point(
 
     mu = trace.final_state.mu
     target = 10.0 * cfg.tol
-    for _ in range(max_polish):
+    for _ in range(_MAX_POLISH):
         swept = seq_sweep(mu, pre, hyper)
         seq_res = float(np.max(np.abs(swept - mu)))
         par_res = float(np.max(np.abs(par_sweep(mu, pre, hyper) - mu)))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import engines, stability, svgplot, verify
 from .model import Hyperparams, precompute
-from .synth import GenSpec, gen_design, gen_response, make_beta, make_dataset, replicate_seed
+from .synth import GenSpec, gen_design, make_dataset, replicate_seed
 
 __all__ = [
     "StudyConfig",
@@ -37,6 +38,15 @@ DEFAULT_RIGHT_S_GRID = (5, 15, 25, 35, 45)
 
 class ConfigError(ValueError):
     """Invalid study configuration; maps to CLI exit status 2."""
+
+
+@contextmanager
+def _rejected_as_config_error():
+    """Report a ValueError from drawing or precomputing user-specified data as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -99,22 +109,22 @@ def _single(cfg: StudyConfig, name: str) -> int:
     return int(grid[0])
 
 
+def _single_dataset(cfg: StudyConfig):
+    """The one dataset that gen-data and run-example draw from ``cfg``."""
+    with _rejected_as_config_error():
+        return make_dataset(GenSpec(
+            n=_single(cfg, "n"), p=_single(cfg, "p"), s=_single(cfg, "s"),
+            amplitude=cfg.amplitude, sigma2=cfg.hyper.sigma2, seed=cfg.master_seed,
+        ))
+
+
 def cmd_gen_data(cfg: StudyConfig) -> List[str]:
     """Write one synthetic dataset as interchange CSVs (X, y, beta)."""
+    ds = _single_dataset(cfg)
     out = _ensure_out(cfg)
-    spec = GenSpec(
-        n=_single(cfg, "n"),
-        p=_single(cfg, "p"),
-        s=_single(cfg, "s"),
-        amplitude=cfg.amplitude,
-        sigma2=cfg.hyper.sigma2,
-        seed=cfg.master_seed,
-    )
-    X = gen_design(spec)
-    beta = make_beta(spec)
-    y = gen_response(X, beta, spec.sigma2, spec.seed)
     paths = []
-    for name, arr in (("X.csv", X), ("y.csv", y[:, None]), ("beta.csv", beta[:, None])):
+    columns = {"X.csv": ds.X, "y.csv": ds.y[:, None], "beta.csv": ds.beta_true[:, None]}
+    for name, arr in columns.items():
         path = os.path.join(out, name)
         with open(path, "w", newline="\n") as fh:
             for row in arr:
@@ -125,17 +135,10 @@ def cmd_gen_data(cfg: StudyConfig) -> List[str]:
 
 def cmd_run_example(cfg: StudyConfig):
     """Run one trajectory and dump its trace, final means, and two plots."""
+    ds = _single_dataset(cfg)
+    with _rejected_as_config_error():
+        pre = precompute(ds, cfg.hyper)
     out = _ensure_out(cfg)
-    spec = GenSpec(
-        n=_single(cfg, "n"),
-        p=_single(cfg, "p"),
-        s=_single(cfg, "s"),
-        amplitude=cfg.amplitude,
-        sigma2=cfg.hyper.sigma2,
-        seed=cfg.master_seed,
-    )
-    ds = make_dataset(spec)
-    pre = precompute(ds, cfg.hyper)
     trace = engines.run(ds, cfg.hyper, cfg.scheme, cfg.run, pre=pre)
 
     status_col = ["running"] * len(trace.iterations)
@@ -196,9 +199,13 @@ def _panel_points(cfg: StudyConfig):
 def spectral_replicate(n, p, s, seed, hyper, run_cfg, amplitude=1.0):
     """One spectral-study replicate: fixed point by the sequential engine,
     then both spectral radii and the contraction check. Non-convergence is
-    reported through the flag, never raised."""
-    ds = make_dataset(GenSpec(n=n, p=p, s=s, amplitude=amplitude, sigma2=hyper.sigma2, seed=seed))
-    pre = precompute(ds, hyper)
+    reported through the flag, never raised; a shape, amplitude or
+    hyperparameters the model rejects raise ConfigError."""
+    with _rejected_as_config_error():
+        ds = make_dataset(
+            GenSpec(n=n, p=p, s=s, amplitude=amplitude, sigma2=hyper.sigma2, seed=seed)
+        )
+        pre = precompute(ds, hyper)
     try:
         state = engines.fixed_point(ds, hyper, run_cfg, pre=pre)
     except engines.FixedPointError:
@@ -286,9 +293,9 @@ def cmd_verify(cfg: StudyConfig) -> int:
 def cmd_wigner_check(cfg: StudyConfig):
     """Replicated normalized-Gram spectral norms over the (n, p) grid."""
     out = _ensure_out(cfg)
-    points = [(int(n), int(p)) for n in cfg.n for p in cfg.p if p <= n]
+    points = [(int(n), int(p)) for n in cfg.n for p in cfg.p if 2 <= p <= n]
     if not points:
-        raise ConfigError("wigner-check needs at least one grid point with p <= n")
+        raise ConfigError("wigner-check needs at least one grid point with 2 <= p <= n")
     tau = cfg.hyper.tau
     rows = []
     summaries = []

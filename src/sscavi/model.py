@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import expit
 
 __all__ = [
     "Dataset",
@@ -132,12 +133,16 @@ def precompute(dataset: Dataset, hyper: Hyperparams) -> Precomputed:
     """Assemble the per-column precisions, Gram pieces, and cross moments.
 
     Zero columns are allowed (their precision degenerates to ``tau``);
-    non-finite inputs are rejected by :class:`Dataset`.
+    non-finite inputs are rejected by :class:`Dataset`. Hyperparameters that
+    overflow a precision or a normalizer to infinity raise ``ValueError``.
     """
     X = dataset.X
     col_sq_norms = np.einsum("ij,ij->j", X, X)
-    a = col_sq_norms / hyper.sigma2 + hyper.tau
-    d = hyper.sigma2 * a
+    with np.errstate(over="ignore"):
+        a = col_sq_norms / hyper.sigma2 + hyper.tau
+        d = hyper.sigma2 * a
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(d))):
+        raise ValueError(f"tau={hyper.tau}, sigma2={hyper.sigma2} overflow the slab precisions")
     xtx_lower = np.tril(X.T @ X, k=-1)
     xty = X.T @ dataset.y
     return Precomputed(
@@ -149,17 +154,6 @@ def precompute(dataset: Dataset, hyper: Hyperparams) -> Precomputed:
     )
 
 
-def _stable_sigmoid(t: np.ndarray) -> np.ndarray:
-    """Numerically safe sigmoid; separate branches avoid overflowing exp."""
-    t = np.asarray(t, dtype=np.float64)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
-
-
 def inclusion_logit_offset(a, hyper: Hyperparams):
     """Mean-independent part of the inclusion logit: logit(pi) + log(tau/a)/2."""
     return hyper.logit_pi + 0.5 * np.log(hyper.tau / np.asarray(a, dtype=np.float64))
@@ -168,16 +162,13 @@ def inclusion_logit_offset(a, hyper: Hyperparams):
 def inclusion_prob(mu, a, hyper: Hyperparams):
     """Inclusion probability as a function of the variational mean.
 
-    logit(alpha) = logit(pi) + log(tau/a)/2 + a*mu^2/2, evaluated overflow-safely.
-    Scalars in, scalar out; arrays broadcast elementwise.
+    logit(alpha) = logit(pi) + log(tau/a)/2 + a*mu^2/2, mapped through the
+    overflow-safe logistic ``expit``. Scalars in, scalar out; arrays broadcast
+    elementwise.
     """
-    mu_arr = np.asarray(mu, dtype=np.float64)
-    a_arr = np.asarray(a, dtype=np.float64)
-    logit = inclusion_logit_offset(a_arr, hyper) + 0.5 * a_arr * mu_arr * mu_arr
-    out = _stable_sigmoid(np.atleast_1d(logit))
-    if np.ndim(mu) == 0 and np.ndim(a) == 0:
-        return float(out[0])
-    return out.reshape(np.broadcast(mu_arr, a_arr).shape)
+    mu = np.asarray(mu, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    return expit(inclusion_logit_offset(a, hyper) + 0.5 * a * mu * mu)
 
 
 def inclusion_prob_grad(mu, a, alpha):
@@ -186,11 +177,8 @@ def inclusion_prob_grad(mu, a, alpha):
     Chain rule through the sigmoid: alpha * (1 - alpha) * a * mu. Saturated
     alpha (exactly 0 or 1) gives a zero derivative.
     """
-    mu_arr = np.asarray(mu, dtype=np.float64)
-    out = np.asarray(alpha) * (1.0 - np.asarray(alpha)) * np.asarray(a) * mu_arr
-    if np.ndim(mu) == 0 and np.ndim(a) == 0:
-        return float(out)
-    return out
+    alpha = np.asarray(alpha, dtype=np.float64)
+    return alpha * (1.0 - alpha) * np.asarray(a) * np.asarray(mu)
 
 
 @dataclass

@@ -38,6 +38,7 @@ __all__ = [
 # below this, the squared coupling norm is treated as exactly zero (decoupled design)
 _COUPLING_EPS = 1e-14
 _ALPHA_CLAMP = 1e-12
+_RESIDUAL_TOL = 1e-6
 
 
 @dataclass
@@ -47,9 +48,9 @@ class ScaledOperators:
     ``lower_scaled`` is the strict lower Gram triangle rescaled by the sweep
     normalizer, ``offdiag`` its symmetrization, and ``core = offdiag + I`` is
     positive definite by construction (it is a congruence of the ridge
-    system). ``incl`` holds the inclusion probabilities, ``curvature`` the
+    system). ``incl`` holds the inclusion probabilities and ``curvature`` the
     diagonal ``mu^2 * a * (1 - incl)`` that measures how strongly the
-    probabilities react to the means, and ``mixed`` couples the two.
+    probabilities react to the means.
     """
 
     lower_scaled: np.ndarray
@@ -57,7 +58,6 @@ class ScaledOperators:
     core: np.ndarray
     incl: np.ndarray
     curvature: np.ndarray
-    mixed: np.ndarray
 
 
 def scaled_operators(mu_star, alpha, pre: Precomputed) -> ScaledOperators:
@@ -69,14 +69,12 @@ def scaled_operators(mu_star, alpha, pre: Precomputed) -> ScaledOperators:
     offdiag = lower_scaled + lower_scaled.T
     core = offdiag + np.eye(pre.p)
     curvature = mu_star * mu_star * pre.a * (1.0 - alpha)
-    mixed = np.sqrt(alpha)[:, None] * offdiag * curvature[None, :]
     return ScaledOperators(
         lower_scaled=lower_scaled,
         offdiag=offdiag,
         core=core,
         incl=alpha,
         curvature=curvature,
-        mixed=mixed,
     )
 
 
@@ -96,28 +94,18 @@ def jacobian_seq(
 ) -> np.ndarray:
     """Analytic Jacobian of the sequential one-sweep map at ``mu_star``.
 
-    The map is mu -> G(mu) mu + H(mu) with G and H built from the triangular
-    sweep system; differentiating the inverse contributes one rank-one update
-    per coordinate, assembled here after a single triangular factorization.
-    Intended for (near) fixed points; see :func:`analyze_stability` for the
-    residual warning.
+    The sweep S(mu) solves T S = xty - L^T (alpha * mu) with T = D + L diag(alpha)
+    (:func:`engines.seq_sweep_system`) and alpha = alpha(mu). Differentiating
+    that system gives one triangular solve with a p x p right-hand side,
+    J = -T^{-1} [L^T diag(alpha + alpha' * mu) + L diag(alpha' * S(mu))],
+    exact at any ``mu_star``, not only at fixed points (where S(mu) = mu).
     """
     mu_star = np.asarray(mu_star, dtype=np.float64)
     alpha, grad = _alpha_and_grad(mu_star, pre, hyper, alpha_override)
-
-    sweep_sys = pre.xtx_lower * alpha[None, :]
-    np.fill_diagonal(sweep_sys, pre.d)
-    low_solved = solve_triangular(sweep_sys, pre.xtx_lower, lower=True)
-    up_solved = solve_triangular(sweep_sys, np.ascontiguousarray(pre.xtx_lower.T), lower=True)
-    h_vec = solve_triangular(sweep_sys, pre.xty, lower=True)
-    tail_vec = up_solved @ (alpha * mu_star)
-
-    linear_part = -up_solved * alpha[None, :]
-    return (
-        linear_part
-        + low_solved * (grad * (tail_vec - h_vec))[None, :]
-        - up_solved * (grad * mu_star)[None, :]
-    )
+    swept = engines.seq_sweep(mu_star, pre, hyper, alpha_override=alpha)
+    low = pre.xtx_lower
+    rhs = low.T * (alpha + grad * mu_star) + low * (grad * swept)
+    return -solve_triangular(engines.seq_sweep_system(alpha, pre), rhs, lower=True)
 
 
 def jacobian_par(
@@ -125,25 +113,13 @@ def jacobian_par(
 ) -> np.ndarray:
     """Analytic Jacobian of the parallel one-sweep map at ``mu_star``.
 
-    Closed form: -D^{-1} (low + low^T) (diag(alpha) + diag(alpha' * mu)).
-    When probabilities are not pinned, the diagonally rescaled Jacobian is
-    verified against its similar factorization (I - core)(I + curvature)
-    diag(incl), which shares its spectrum.
+    Closed form: -D^{-1} (L + L^T) diag(alpha + alpha' * mu), L the strict
+    lower Gram triangle.
     """
     mu_star = np.asarray(mu_star, dtype=np.float64)
     alpha, grad = _alpha_and_grad(mu_star, pre, hyper, alpha_override)
     offdiag_full = pre.xtx_lower + pre.xtx_lower.T
-    jac = -(offdiag_full * (alpha + grad * mu_star)[None, :]) / pre.d[:, None]
-
-    if alpha_override is None:
-        ops = scaled_operators(mu_star, alpha, pre)
-        sqrt_d = np.sqrt(pre.d)
-        rescaled = sqrt_d[:, None] * jac / sqrt_d[None, :]
-        similar = -ops.offdiag * ((1.0 + ops.curvature) * alpha)[None, :]
-        scale = max(1.0, float(np.max(np.abs(rescaled))))
-        if np.max(np.abs(rescaled - similar)) > 1e-10 * scale:
-            raise RuntimeError("rescaled parallel Jacobian fails its similarity identity")
-    return jac
+    return -(offdiag_full * (alpha + grad * mu_star)[None, :]) / pre.d[:, None]
 
 
 def spectral_radius(jac: np.ndarray) -> float:
@@ -289,21 +265,19 @@ def _assumption1_from_operators(ops: ScaledOperators, flags: List[str]) -> Assum
     )
 
 
-def check_assumption1(
-    mu_star, pre: Precomputed, hyper: Hyperparams, clamp: float = _ALPHA_CLAMP
-) -> Assumption1Result:
+def check_assumption1(mu_star, pre: Precomputed, hyper: Hyperparams) -> Assumption1Result:
     """Evaluate the contraction conditions at a candidate fixed point.
 
-    Probabilities are clamped into [clamp, 1 - clamp] before building the
-    operators (the inverse-probability diagonal is singular at saturation);
-    clamped coordinates are reported through the ``alpha_saturated`` flag.
+    Probabilities are clamped into [_ALPHA_CLAMP, 1 - _ALPHA_CLAMP] (1e-12) before
+    building the operators (the inverse-probability diagonal is singular at
+    saturation); clamped coordinates are reported through the ``alpha_saturated`` flag.
     """
     mu_star = np.asarray(mu_star, dtype=np.float64)
     alpha_raw = inclusion_prob(mu_star, pre.a, hyper)
     flags: List[str] = []
-    if np.any(alpha_raw > 1.0 - clamp) or np.any(alpha_raw < clamp):
+    if np.any(alpha_raw > 1.0 - _ALPHA_CLAMP) or np.any(alpha_raw < _ALPHA_CLAMP):
         flags.append("alpha_saturated")
-    alpha = np.clip(alpha_raw, clamp, 1.0 - clamp)
+    alpha = np.clip(alpha_raw, _ALPHA_CLAMP, 1.0 - _ALPHA_CLAMP)
     ops = scaled_operators(mu_star, alpha, pre)
     return _assumption1_from_operators(ops, flags)
 
@@ -320,19 +294,17 @@ class StabilityReport:
     flags: List[str] = field(default_factory=list)
 
 
-def analyze_stability(
-    mu_star, pre: Precomputed, hyper: Hyperparams, residual_tol: float = 1e-6
-) -> StabilityReport:
+def analyze_stability(mu_star, pre: Precomputed, hyper: Hyperparams) -> StabilityReport:
     """Full local analysis at ``mu_star``: radii, residuals, contraction check.
 
-    A sup-norm sweep residual above ``residual_tol`` does not abort the
-    analysis but is flagged, since the Jacobian formulas presume a fixed
-    point.
+    A sup-norm sweep residual above 1e-6 (``_RESIDUAL_TOL``) does not abort
+    the analysis but is flagged ``not_fixed_point``, since the radii describe
+    local stability only at a fixed point.
     """
     mu_star = np.asarray(mu_star, dtype=np.float64)
     seq_residual = float(np.max(np.abs(engines.seq_sweep(mu_star, pre, hyper) - mu_star)))
     par_residual = float(np.max(np.abs(engines.par_sweep(mu_star, pre, hyper) - mu_star)))
-    flags = [] if max(seq_residual, par_residual) <= residual_tol else ["not_fixed_point"]
+    flags = [] if max(seq_residual, par_residual) <= _RESIDUAL_TOL else ["not_fixed_point"]
     assumption = check_assumption1(mu_star, pre, hyper)
     return StabilityReport(
         rho_seq=spectral_radius(jacobian_seq(mu_star, pre, hyper)),

@@ -65,10 +65,12 @@ class GenSpec:
             raise ValueError("n and p must be positive")
         if not (0 <= self.s <= self.p):
             raise ValueError("s must lie in [0, p]")
+        if not np.isfinite(self.amplitude):
+            raise ValueError("amplitude must be finite")
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be nonnegative")
         if not (0 <= int(self.seed) <= _MASK64):
-            raise ValueError("seed must fit in 64 bits")
+            raise ValueError("seed must lie in [0, 2^64)")
 
 
 def gen_design(spec: GenSpec) -> np.ndarray:

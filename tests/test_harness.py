@@ -158,6 +158,20 @@ def test_cli_run_example_and_exit_codes(tmp_path, capsys):
     assert cli.main(["run-example", "--out", out, "--pi", "2.0"]) == 2
     assert cli.main(["gen-data", "--out", out, "--n", "oops"]) == 2
     capsys.readouterr()
+    # sizes, seeds, amplitudes and hyperparameters the model rejects, or that
+    # overflow its precisions, are invalid configuration, not a traceback
+    for argv in (
+        ["run-example", "--n", "0"],
+        ["run-example", "--s", "60"],
+        ["run-example", "--seed", "-1"],
+        ["run-example", "--amplitude", "nan"],
+        ["run-example", "--tau", "1e308", "--sigma2", "1e-308"],
+        ["gen-data", "--p", "0"],
+        ["wigner-check", "--n", "10", "--p", "1"],
+        ["spectral-study", "--panel", "left", "--p", "0", "--reps", "1"],
+    ):
+        assert cli.main(argv + ["--out", out]) == 2, argv
+        assert capsys.readouterr().err.startswith("invalid configuration: "), argv
 
 
 def test_cli_config_file_with_override(tmp_path):

@@ -69,12 +69,15 @@ def test_pinned_spectral_radii_match_textbook_splittings(seed):
 
 def test_jacobians_match_finite_differences():
     ds, pre, state = _converged_instance()
-    fd_seq = fd_jacobian(lambda m: engines.seq_sweep(m, pre, HYPER), state.mu)
-    fd_par = fd_jacobian(lambda m: engines.par_sweep(m, pre, HYPER), state.mu)
-    err_seq = np.max(np.abs(jacobian_seq(state.mu, pre, HYPER) - fd_seq) / (1 + np.abs(fd_seq)))
-    err_par = np.max(np.abs(jacobian_par(state.mu, pre, HYPER) - fd_par) / (1 + np.abs(fd_par)))
-    assert err_seq < 1e-5
-    assert err_par < 1e-5
+    # the fixed point, and a random point where the sweep moves mu (S(mu) != mu)
+    off_point = np.random.default_rng(11).standard_normal(pre.p)
+    for mu in (state.mu, off_point):
+        fd_seq = fd_jacobian(lambda m: engines.seq_sweep(m, pre, HYPER), mu)
+        fd_par = fd_jacobian(lambda m: engines.par_sweep(m, pre, HYPER), mu)
+        err_seq = np.max(np.abs(jacobian_seq(mu, pre, HYPER) - fd_seq) / (1 + np.abs(fd_seq)))
+        err_par = np.max(np.abs(jacobian_par(mu, pre, HYPER) - fd_par) / (1 + np.abs(fd_par)))
+        assert err_seq < 1e-5
+        assert err_par < 1e-5
 
 
 def test_dropping_inhomogeneous_term_breaks_fd_match():
