@@ -223,10 +223,15 @@ def spectral_replicate(n, p, s, seed, hyper, run_cfg, amplitude=1.0):
 
 def cmd_spectral_study(cfg: StudyConfig):
     """Replicated spectral radii over the panel grids; CSV plus box plots."""
+    points = _panel_points(cfg)
+    # reject a bad grid point before the first replicate runs
+    with _rejected_as_config_error():
+        for _, n, p, s in points:
+            GenSpec(n=n, p=p, s=s, amplitude=cfg.amplitude, sigma2=cfg.hyper.sigma2)
     out = _ensure_out(cfg)
     rows = []
     n_failed = 0
-    for panel, n, p, s in _panel_points(cfg):
+    for panel, n, p, s in points:
         for r in range(cfg.replications):
             seed = replicate_seed(cfg.master_seed, r)
             res = spectral_replicate(n, p, s, seed, cfg.hyper, cfg.run, cfg.amplitude)
@@ -251,7 +256,7 @@ def cmd_spectral_study(cfg: StudyConfig):
     write_csv(os.path.join(out, "rho.csv"), header, rows)
 
     groups = []
-    for panel, n, p, s in _panel_points(cfg):
+    for panel, n, p, s in points:
         tag = f"p={p}" if panel == "left" else f"s={s}"
         for scheme, col, color in (("seq", 7, 1), ("par", 9, 0)):
             vals = [

@@ -3,7 +3,9 @@
 Analytic Jacobians of the one-sweep maps at a fixed point, spectral radii, a
 finite-difference oracle, the quadratic-form contraction checker, and the
 normalized off-diagonal Gram statistic that drives parallel instability under
-Gaussian designs.
+Gaussian designs. The parallel radius and the contraction check run on
+symmetric operators (``eigvalsh``, generalized and subset forms); only the
+sequential radius needs the nonsymmetric eigensolver.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import eigh, solve_triangular
+from scipy.linalg import LinAlgError, eigvalsh, solve_triangular
 
 from . import engines
 from .model import Hyperparams, Precomputed, inclusion_prob, inclusion_prob_grad
@@ -122,6 +124,24 @@ def jacobian_par(
     return -(offdiag_full * (alpha + grad * mu_star)[None, :]) / pre.d[:, None]
 
 
+def _par_radius(mu_star, pre: Precomputed, hyper: Hyperparams) -> float:
+    """Spectral radius of :func:`jacobian_par` from a symmetric eigenproblem.
+
+    With w = alpha + alpha' * mu = alpha (1 + (1 - alpha) a mu^2) >= 0 and
+    R = diag(sqrt(w / d)), J = -D^{-1} (L + L^T) diag(w) has the eigenvalues of
+    -R (L + L^T) R, since eig(XY) = eig(YX) (also where some w_j = 0). Only the
+    stored lower triangle is scaled and handed to ``eigvalsh``.
+    """
+    mu_star = np.asarray(mu_star, dtype=np.float64)
+    alpha, grad = _alpha_and_grad(mu_star, pre, hyper, None)
+    r = np.sqrt((alpha + grad * mu_star) / pre.d)
+    sym_lower = pre.xtx_lower * np.outer(r, r)
+    if not np.all(np.isfinite(sym_lower)):
+        raise ValueError("spectral_radius expects finite entries")
+    evals = eigvalsh(sym_lower, lower=True, overwrite_a=True, check_finite=False)
+    return float(np.max(np.abs(evals)))
+
+
 def spectral_radius(jac: np.ndarray) -> float:
     """Largest eigenvalue modulus, via the dense nonsymmetric QR eigensolver.
 
@@ -204,7 +224,10 @@ class Assumption1Result:
     conditions (the maximum of the generalized-eigenvalue part and the
     diagonal part); ``satisfied`` requires it to stay strictly below
     ``delta_bound``. A decoupled design (zero coupling norm) makes the bound
-    vacuous and is flagged, as is clamped saturation of the probabilities.
+    vacuous and is flagged, as is clamped saturation of the probabilities. A
+    core too close to singular to factor is a numerical breakdown, flagged
+    ``core_not_positive_definite`` with ``satisfied`` false and NaN in the
+    quantities it prevents.
     """
 
     delta_star: float
@@ -228,14 +251,28 @@ def _assumption1_from_operators(ops: ScaledOperators, flags: List[str]) -> Assum
     if np.isinf(delta_diag):
         flags = flags + ["alpha_saturated"]
 
-    evals, evecs = eigh(ops.core)
-    inv_sqrt_core = (evecs * (evals**-0.5)[None, :]) @ evecs.T
-    core_sq = ops.core @ ops.core
-    quad_op = inv_sqrt_core @ (b[:, None] * core_sq * b[None, :]) @ inv_sqrt_core
-    quad_op = 0.5 * (quad_op + quad_op.T)
-    delta_quad = float(max(np.max(np.linalg.eigvalsh(quad_op)), 0.0))
+    # delta_quad is the top eigenvalue of C^{-1/2} B C^2 B C^{-1/2} (C the core,
+    # B = diag(b)), i.e. of the pencil (B C^2 B) v = lambda C v, B C^2 B = (CB)^T (CB)
+    p = b.shape[0]
+    core_b = ops.core * b[None, :]
+    try:
+        top_quad = eigvalsh(core_b.T @ core_b, ops.core, subset_by_index=[p - 1, p - 1])
+    except LinAlgError:
+        # the Cholesky factorization of a numerically singular core failed
+        nan = float("nan")
+        return Assumption1Result(
+            delta_star=nan,
+            delta_bound=nan,
+            satisfied=False,
+            delta_quad=nan,
+            delta_diag=delta_diag,
+            coupling_norm_sq=nan,
+            flags=flags + ["core_not_positive_definite"],
+        )
+    delta_quad = float(max(top_quad[0], 0.0))
 
-    coupling_norm_sq = float(np.linalg.norm(ops.lower_scaled, 2) ** 2)
+    low = ops.lower_scaled
+    coupling_norm_sq = float(eigvalsh(low.T @ low, subset_by_index=[p - 1, p - 1])[0])
     delta_star = max(delta_quad, delta_diag)
 
     if coupling_norm_sq < _COUPLING_EPS:
@@ -252,7 +289,7 @@ def _assumption1_from_operators(ops: ScaledOperators, flags: List[str]) -> Assum
 
     with np.errstate(divide="ignore"):
         shifted = ops.core + np.diag(1.0 / incl)
-    lam_min = float(np.min(np.linalg.eigvalsh(shifted)))
+    lam_min = float(eigvalsh(shifted, subset_by_index=[0, 0])[0])
     delta_bound = min(0.5, lam_min / coupling_norm_sq)
     return Assumption1Result(
         delta_star=delta_star,
@@ -308,7 +345,7 @@ def analyze_stability(mu_star, pre: Precomputed, hyper: Hyperparams) -> Stabilit
     assumption = check_assumption1(mu_star, pre, hyper)
     return StabilityReport(
         rho_seq=spectral_radius(jacobian_seq(mu_star, pre, hyper)),
-        rho_par=spectral_radius(jacobian_par(mu_star, pre, hyper)),
+        rho_par=_par_radius(mu_star, pre, hyper),
         assumption1=assumption,
         seq_residual=seq_residual,
         par_residual=par_residual,

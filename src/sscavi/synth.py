@@ -94,7 +94,9 @@ def gen_response(X: np.ndarray, beta: np.ndarray, sigma2: float, seed: int) -> n
         raise ValueError("beta length must match the number of design columns")
     rng = _stream(seed, _NOISE_STREAM)
     noise = rng.standard_normal(X.shape[0])
-    return X @ beta + np.sqrt(sigma2) * noise
+    # an overflowing amplitude yields inf/NaN, which Dataset rejects with its own message
+    with np.errstate(over="ignore", invalid="ignore"):
+        return X @ beta + np.sqrt(sigma2) * noise
 
 
 def make_dataset(spec: GenSpec) -> Dataset:

@@ -5,7 +5,9 @@ same quantity: coordinate loops against the triangular solve and the symmetric
 matrix-vector product of the production sweeps, analytic Jacobians
 against central differences, pinned sweeps against textbook splitting
 iterations and a direct solve, the closed-form expected log likelihood
-against Monte Carlo, and spectral radii against their similar factorization.
+against Monte Carlo, the symmetric parallel radius against the nonsymmetric
+eigensolver on the Jacobian, and the contraction check against its defining
+dense formulas.
 """
 
 from __future__ import annotations
@@ -77,6 +79,41 @@ def dense_par_sweep(mu, alpha, pre):
     gram = pre.xtx
     offdiag = gram - np.diag(np.diag(gram))
     return (pre.xty - offdiag @ (np.asarray(alpha) * np.asarray(mu))) / pre.d
+
+
+class DenseAssumption1(NamedTuple):
+    delta_quad: float
+    coupling_norm_sq: float
+    delta_bound: float
+    satisfied: bool
+
+
+def dense_assumption1(mu_star, pre, hyper: Hyperparams) -> DenseAssumption1:
+    """Assumption 1 from its defining formulas, for ``stability.check_assumption1``.
+
+    With C the scaled core and B = diag(b) the curvature: delta_quad is the top
+    of the full spectrum of C^{-1/2} B C^2 B C^{-1/2}, C^{-1/2} taken from a full
+    eigendecomposition of C; the coupling norm is the SVD 2-norm of the scaled
+    lower triangle; lam_min is the bottom of the full spectrum of C + diag(1/alpha).
+    Probabilities are clamped into [1e-12, 1 - 1e-12] as in the production check.
+    """
+    alpha = np.clip(inclusion_prob(mu_star, pre.a, hyper), 1e-12, 1.0 - 1e-12)
+    ops = stability.scaled_operators(mu_star, alpha, pre)
+    b = ops.curvature
+    evals, evecs = np.linalg.eigh(ops.core)
+    inv_sqrt_core = (evecs * evals**-0.5) @ evecs.T
+    quad_op = inv_sqrt_core @ (b[:, None] * (ops.core @ ops.core) * b) @ inv_sqrt_core
+    delta_quad = max(float(np.max(np.linalg.eigvalsh(0.5 * (quad_op + quad_op.T)))), 0.0)
+    delta_diag = float(np.max(b * b * alpha / (1.0 - alpha)))
+    coupling_norm_sq = float(np.linalg.norm(ops.lower_scaled, 2) ** 2)
+    if coupling_norm_sq < 1e-14:
+        delta_bound = float("inf")
+    else:
+        lam_min = float(np.min(np.linalg.eigvalsh(ops.core + np.diag(1.0 / alpha))))
+        delta_bound = min(0.5, lam_min / coupling_norm_sq)
+    return DenseAssumption1(
+        delta_quad, coupling_norm_sq, delta_bound, max(delta_quad, delta_diag) < delta_bound
+    )
 
 
 def mc_expected_loglik(
@@ -210,11 +247,9 @@ def run_checks(
     results.append(_elbo_mc_check(mc_samples, seed))
 
     note("similarity identity")
-    alpha = state.alpha
-    ops = stability.scaled_operators(state.mu, alpha, pre)
-    similar = -ops.offdiag * ((1.0 + ops.curvature) * alpha)[None, :]
+    # the nonsymmetric eigensolver on J_par against the symmetric route of the study
     rho_direct = stability.spectral_radius(jac_par)
-    rho_similar = stability.spectral_radius(similar)
+    rho_similar = stability.analyze_stability(state.mu, pre, hyper).rho_par
     sim_diff = abs(rho_direct - rho_similar)
     results.append(CheckResult("par_radius_similarity", sim_diff, 1e-8, sim_diff < 1e-8))
 

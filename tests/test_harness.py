@@ -1,6 +1,8 @@
 """Harness and CLI tests: file outputs, determinism, config handling, exit codes."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -150,7 +152,17 @@ def test_parse_config_file(tmp_path):
         harness.parse_config_file(str(bad))
 
 
-def test_cli_run_example_and_exit_codes(tmp_path, capsys):
+def _cli_subprocess(argv):
+    """Run the CLI in a fresh interpreter, so its stderr is exactly what a user sees."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "sscavi.cli", *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+
+
+def test_cli_run_example_and_exit_codes(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "cli")
     assert cli.main(["run-example", "--out", out, "--n", "100", "--p", "20",
                      "--s", "10", "--seed", "1"]) == 0
@@ -158,6 +170,11 @@ def test_cli_run_example_and_exit_codes(tmp_path, capsys):
     assert cli.main(["run-example", "--out", out, "--pi", "2.0"]) == 2
     assert cli.main(["gen-data", "--out", out, "--n", "oops"]) == 2
     capsys.readouterr()
+
+    def no_replicate(*args, **kwargs):
+        raise AssertionError("a replicate ran before every grid point was checked")
+
+    monkeypatch.setattr(harness, "spectral_replicate", no_replicate)
     # sizes, seeds, amplitudes and hyperparameters the model rejects, or that
     # overflow its precisions, are invalid configuration, not a traceback
     for argv in (
@@ -169,9 +186,29 @@ def test_cli_run_example_and_exit_codes(tmp_path, capsys):
         ["gen-data", "--p", "0"],
         ["wigner-check", "--n", "10", "--p", "1"],
         ["spectral-study", "--panel", "left", "--p", "0", "--reps", "1"],
+        ["spectral-study", "--panel", "left", "--p", "50,0", "--reps", "20"],
     ):
         assert cli.main(argv + ["--out", out]) == 2, argv
         assert capsys.readouterr().err.startswith("invalid configuration: "), argv
+    # an amplitude that overflows the response is reported without numpy warnings
+    proc = _cli_subprocess(["run-example", "--amplitude", "1e308", "--out", out])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("invalid configuration: ")
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_cli_spectral_study_singular_core(tmp_path):
+    # p > n with a vanishing ridge makes the scaled core numerically singular;
+    # the contraction check reports that instead of raising
+    out = str(tmp_path / "sing")
+    argv = ["spectral-study", "--panel", "left", "--n", "20", "--p", "40",
+            "--tau", "1e-20", "--reps", "3", "--out", out]
+    assert cli.main(argv) == 0
+    lines = _read(os.path.join(out, "rho.csv")).decode().splitlines()
+    assert lines[0] == ("panel,n,p,s,replicate,seed,rho_seq,log_rho_seq,rho_par,"
+                        "log_rho_par,seq_converged,assumption1_satisfied")
+    assert len(lines) == 4
+    assert all(line.endswith(",false") for line in lines[1:])
 
 
 def test_cli_config_file_with_override(tmp_path):

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sscavi import engines
 from sscavi.model import Dataset, Hyperparams, inclusion_prob, precompute
 from sscavi.stability import (
     _assumption1_from_operators,
+    _par_radius,
     analyze_stability,
     check_assumption1,
     fd_jacobian,
@@ -18,7 +21,8 @@ from sscavi.stability import (
     spectral_radius,
     wigner_stat,
 )
-from sscavi.synth import GenSpec, make_dataset
+from sscavi.synth import GenSpec, make_dataset, replicate_seed
+from sscavi.verify import dense_assumption1
 
 HYPER = Hyperparams(pi=0.5, tau=1.0, sigma2=1.0)
 
@@ -148,6 +152,86 @@ def test_parallel_radius_equals_similar_factorization():
     ops = scaled_operators(state.mu, state.alpha, pre)
     similar = -ops.offdiag * ((1.0 + ops.curvature) * ops.incl)[None, :]
     assert spectral_radius(jac) == pytest.approx(spectral_radius(similar), abs=1e-8)
+
+
+@given(
+    p=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    zero_cols=st.lists(st.booleans(), min_size=12, max_size=12),
+    scale=st.floats(min_value=0.0, max_value=3.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_par_radius_symmetric_route_matches_eigvals(p, seed, zero_cols, scale):
+    # a random design with some columns zeroed and a mean vector off any fixed point
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((2 * p + 3, p))
+    X[:, np.array(zero_cols[:p])] = 0.0
+    pre = precompute(Dataset(X=X, y=rng.standard_normal(2 * p + 3)), HYPER)
+    mu = scale * rng.standard_normal(p)
+    oracle = spectral_radius(jacobian_par(mu, pre, HYPER))
+    assert abs(_par_radius(mu, pre, HYPER) - oracle) <= 1e-10 * oracle
+
+
+def test_par_radius_rejects_nonfinite_mean():
+    ds, pre, state = _converged_instance()
+    mu = state.mu.copy()
+    mu[2] = np.nan
+    with pytest.raises(ValueError, match="finite entries"):
+        _par_radius(mu, pre, HYPER)
+
+
+def _assumption1_instances():
+    """(label, pre, mu) for the default study grids, p = 400, the saturated
+    regime, the zero-mean state, a decoupled orthogonal design and a nearly
+    collinear design."""
+    shapes = [(100, p, p) for p in (10, 20, 30, 40, 50)]
+    shapes += [(200, 50, s) for s in (5, 15, 25, 35, 45)]
+    shapes += [(800, 400, 200)]
+    cases = []
+    for n, p, s in shapes:
+        ds = make_dataset(GenSpec(n=n, p=p, s=s, seed=replicate_seed(0, 0)))
+        pre = precompute(ds, HYPER)
+        state = engines.fixed_point(ds, HYPER, engines.RunConfig(max_iter=500), pre=pre)
+        cases.append((f"{n},{p},{s}", pre, state.mu))
+    ds = make_dataset(GenSpec(n=400, p=20, s=20, amplitude=5.0, seed=5))
+    pre = precompute(ds, HYPER)
+    state = engines.fixed_point(ds, HYPER, engines.RunConfig(max_iter=500), pre=pre)
+    cases.append(("saturated", pre, state.mu))
+    cases.append(("zero mean", precompute(make_dataset(GenSpec(n=50, p=6, s=3, seed=9)), HYPER),
+                  np.zeros(6)))
+    X = np.vstack([np.eye(3) * 2.0, np.zeros((2, 3))])
+    pre = precompute(Dataset(X=X, y=np.array([1.0, 2.0, -1.0, 0.0, 0.0])), HYPER)
+    cases.append(("decoupled", pre, np.array([0.3, -0.2, 0.5])))
+    # nearly collinear columns: a large coupling norm pulls delta_bound below 0.5
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((30, 1)) + 0.1 * rng.standard_normal((30, 8))
+    pre = precompute(Dataset(X=X, y=rng.standard_normal(30)), HYPER)
+    cases.append(("collinear", pre, 0.5 * rng.standard_normal(8)))
+    return cases
+
+
+def test_assumption1_matches_dense_oracle():
+    for label, pre, mu in _assumption1_instances():
+        got = check_assumption1(mu, pre, HYPER)
+        want = dense_assumption1(mu, pre, HYPER)
+        for name in ("delta_quad", "coupling_norm_sq", "delta_bound"):
+            assert np.isclose(getattr(got, name), getattr(want, name), rtol=1e-10, atol=0.0), (
+                label, name, getattr(got, name), getattr(want, name))
+        assert got.satisfied == want.satisfied, label
+        if label == "zero mean":
+            assert got.delta_star == pytest.approx(0.0, abs=1e-30)
+
+
+def test_assumption1_flags_singular_core():
+    # p > n with a vanishing ridge: the scaled core has rank n and cannot be factored
+    hyper = Hyperparams(pi=0.5, tau=1e-20, sigma2=1.0)
+    ds = make_dataset(GenSpec(n=20, p=40, s=40, seed=replicate_seed(0, 0)))
+    pre = precompute(ds, hyper)
+    state = engines.fixed_point(ds, hyper, engines.RunConfig(max_iter=500), pre=pre)
+    result = check_assumption1(state.mu, pre, hyper)
+    assert "core_not_positive_definite" in result.flags
+    assert not result.satisfied
+    assert np.isnan(result.delta_quad) and np.isnan(result.delta_star)
 
 
 def test_assumption1_zero_mean_state():
