@@ -22,7 +22,6 @@ from .model import (
     VariationalState,
     elbo,
     expected_loglik,
-    inclusion_logit_offset,
     inclusion_prob,
     inclusion_prob_grad,
     kl_to_prior,
@@ -30,17 +29,12 @@ from .model import (
 )
 from .stability import (
     Assumption1Result,
-    ScaledOperators,
     StabilityReport,
     WignerStat,
     analyze_stability,
     check_assumption1,
-    fd_jacobian,
-    gelfand_spectral_radius,
     jacobian_par,
     jacobian_seq,
-    perturbation_decay,
-    scaled_operators,
     spectral_radius,
     wigner_stat,
 )
@@ -56,7 +50,6 @@ __all__ = [
     "precompute",
     "inclusion_prob",
     "inclusion_prob_grad",
-    "inclusion_logit_offset",
     "elbo",
     "expected_loglik",
     "kl_to_prior",
@@ -68,20 +61,15 @@ __all__ = [
     "par_sweep",
     "run",
     "fixed_point",
-    "ScaledOperators",
     "Assumption1Result",
     "StabilityReport",
     "WignerStat",
-    "scaled_operators",
     "jacobian_seq",
     "jacobian_par",
     "spectral_radius",
-    "gelfand_spectral_radius",
-    "fd_jacobian",
     "check_assumption1",
     "analyze_stability",
     "wigner_stat",
-    "perturbation_decay",
     "GenSpec",
     "gen_design",
     "gen_response",

@@ -3,13 +3,17 @@
 Subcommands: gen-data, run-example, spectral-study, verify, wigner-check.
 Every flag may also be given in a config file (key = value per line, keys
 matching the long flag names); explicit command-line flags win. Exit status:
-0 on success, 1 when a verification check fails, 2 on invalid configuration.
+0 on success; 1 when a verification check fails, on an I/O failure, or on a
+numerical failure (an eigensolver that does not converge, or an overflow in
+the stability analysis); 2 on invalid configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+from numpy.linalg import LinAlgError
 
 from . import engines, harness
 from .harness import ConfigError, StudyConfig
@@ -166,6 +170,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
+        return 1
+    except (LinAlgError, FloatingPointError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -25,7 +25,6 @@ __all__ = [
     "precompute",
     "inclusion_prob",
     "inclusion_prob_grad",
-    "inclusion_logit_offset",
     "expected_loglik",
     "kl_to_prior",
     "elbo",
@@ -154,11 +153,6 @@ def precompute(dataset: Dataset, hyper: Hyperparams) -> Precomputed:
     )
 
 
-def inclusion_logit_offset(a, hyper: Hyperparams):
-    """Mean-independent part of the inclusion logit: logit(pi) + log(tau/a)/2."""
-    return hyper.logit_pi + 0.5 * np.log(hyper.tau / np.asarray(a, dtype=np.float64))
-
-
 def inclusion_prob(mu, a, hyper: Hyperparams):
     """Inclusion probability as a function of the variational mean.
 
@@ -168,7 +162,7 @@ def inclusion_prob(mu, a, hyper: Hyperparams):
     """
     mu = np.asarray(mu, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
-    return expit(inclusion_logit_offset(a, hyper) + 0.5 * a * mu * mu)
+    return expit(hyper.logit_pi + 0.5 * np.log(hyper.tau / a) + 0.5 * a * mu * mu)
 
 
 def inclusion_prob_grad(mu, a, alpha):

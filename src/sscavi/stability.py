@@ -1,18 +1,19 @@
-"""Local stability toolkit for the two update maps.
+"""Local stability operators for the two update maps.
 
-Analytic Jacobians of the one-sweep maps at a fixed point, spectral radii, a
-finite-difference oracle, the quadratic-form contraction checker, and the
-normalized off-diagonal Gram statistic that drives parallel instability under
-Gaussian designs. The parallel radius and the contraction check run on
-symmetric operators (``eigvalsh``, generalized and subset forms); only the
-sequential radius needs the nonsymmetric eigensolver.
+Analytic Jacobians of the one-sweep maps, spectral radii, the quadratic-form
+contraction check (Assumption 1), and the normalized off-diagonal Gram
+statistic that drives parallel instability under Gaussian designs. The
+parallel radius and the contraction check run on symmetric operators
+(``eigvalsh``, generalized and subset forms); only the sequential radius needs
+the nonsymmetric eigensolver, and an eigensolver that fails raises
+``LinAlgError``. The independent oracles for these operators live in
+:mod:`sscavi.verify`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional
+from typing import List, NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigvalsh, solve_triangular
@@ -21,20 +22,15 @@ from . import engines
 from .model import Hyperparams, Precomputed, inclusion_prob, inclusion_prob_grad
 
 __all__ = [
-    "ScaledOperators",
     "Assumption1Result",
     "StabilityReport",
     "WignerStat",
-    "scaled_operators",
     "jacobian_seq",
     "jacobian_par",
     "spectral_radius",
-    "gelfand_spectral_radius",
-    "fd_jacobian",
     "check_assumption1",
     "analyze_stability",
     "wigner_stat",
-    "perturbation_decay",
 ]
 
 # below this, the squared coupling norm is treated as exactly zero (decoupled design)
@@ -43,41 +39,11 @@ _ALPHA_CLAMP = 1e-12
 _RESIDUAL_TOL = 1e-6
 
 
-@dataclass
-class ScaledOperators:
-    """Operators of the diagonally rescaled system at a candidate fixed point.
-
-    ``lower_scaled`` is the strict lower Gram triangle rescaled by the sweep
-    normalizer, ``offdiag`` its symmetrization, and ``core = offdiag + I`` is
-    positive definite by construction (it is a congruence of the ridge
-    system). ``incl`` holds the inclusion probabilities and ``curvature`` the
-    diagonal ``mu^2 * a * (1 - incl)`` that measures how strongly the
-    probabilities react to the means.
-    """
-
-    lower_scaled: np.ndarray
-    offdiag: np.ndarray
-    core: np.ndarray
-    incl: np.ndarray
-    curvature: np.ndarray
-
-
-def scaled_operators(mu_star, alpha, pre: Precomputed) -> ScaledOperators:
-    """Build the rescaled operators from a state and the precomputed design."""
+def _finite_mean(mu_star) -> np.ndarray:
     mu_star = np.asarray(mu_star, dtype=np.float64)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    inv_sqrt_d = 1.0 / np.sqrt(pre.d)
-    lower_scaled = pre.xtx_lower * np.outer(inv_sqrt_d, inv_sqrt_d)
-    offdiag = lower_scaled + lower_scaled.T
-    core = offdiag + np.eye(pre.p)
-    curvature = mu_star * mu_star * pre.a * (1.0 - alpha)
-    return ScaledOperators(
-        lower_scaled=lower_scaled,
-        offdiag=offdiag,
-        core=core,
-        incl=alpha,
-        curvature=curvature,
-    )
+    if not np.all(np.isfinite(mu_star)):
+        raise ValueError("mu_star must be finite")
+    return mu_star
 
 
 def _alpha_and_grad(mu_star, pre, hyper, alpha_override):
@@ -102,7 +68,7 @@ def jacobian_seq(
     J = -T^{-1} [L^T diag(alpha + alpha' * mu) + L diag(alpha' * S(mu))],
     exact at any ``mu_star``, not only at fixed points (where S(mu) = mu).
     """
-    mu_star = np.asarray(mu_star, dtype=np.float64)
+    mu_star = _finite_mean(mu_star)
     alpha, grad = _alpha_and_grad(mu_star, pre, hyper, alpha_override)
     swept = engines.seq_sweep(mu_star, pre, hyper, alpha_override=alpha)
     low = pre.xtx_lower
@@ -145,75 +111,14 @@ def _par_radius(mu_star, pre: Precomputed, hyper: Hyperparams) -> float:
 def spectral_radius(jac: np.ndarray) -> float:
     """Largest eigenvalue modulus, via the dense nonsymmetric QR eigensolver.
 
-    Falls back to the norm-growth (Gelfand) estimate with a warning if the
-    eigensolver fails to converge.
+    An eigensolver that fails to converge raises ``LinAlgError``.
     """
     jac = np.asarray(jac, dtype=np.float64)
     if jac.ndim != 2 or jac.shape[0] != jac.shape[1]:
         raise ValueError("spectral_radius expects a square matrix")
     if not np.all(np.isfinite(jac)):
         raise ValueError("spectral_radius expects finite entries")
-    try:
-        return float(np.max(np.abs(np.linalg.eigvals(jac))))
-    except np.linalg.LinAlgError:
-        warnings.warn(
-            "eigensolver did not converge; returning the norm-growth estimate "
-            "(about 1% accuracy)",
-            RuntimeWarning,
-        )
-        return gelfand_spectral_radius(jac)
-
-
-def gelfand_spectral_radius(jac: np.ndarray, powers=(64, 128, 256)) -> float:
-    """Estimate the spectral radius from the growth of matrix-power norms.
-
-    Computes ||J^k||_2^{1/k} for the requested power-of-two exponents by
-    repeated squaring with rescaling, then extrapolates k -> infinity with a
-    least-squares fit of log estimate against 1/k. Fully independent of the
-    eigendecomposition path, so it doubles as an oracle for it.
-    """
-    jac = np.asarray(jac, dtype=np.float64)
-    top = float(np.linalg.norm(jac, 2))
-    if top == 0.0:
-        return 0.0
-    # invariant: J^k == top^k * exp(log_scale) * current
-    current, log_scale, k = jac / top, 0.0, 1
-    log_norms = {}
-    while k < max(powers):
-        current = current @ current
-        k *= 2
-        log_scale *= 2.0
-        peak = float(np.max(np.abs(current)))
-        if peak == 0.0:
-            return 0.0
-        current /= peak
-        log_scale += np.log(peak)
-        if k in powers:
-            log_norms[k] = (
-                k * np.log(top) + log_scale + np.log(float(np.linalg.norm(current, 2)))
-            )
-    xs = np.array([1.0 / k for k in sorted(log_norms)])
-    ys = np.array([log_norms[k] / k for k in sorted(log_norms)])
-    coeffs = np.polyfit(xs, ys, 1)
-    return float(np.exp(coeffs[1]))
-
-
-def fd_jacobian(map_fn: Callable, mu_star, h: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of a one-sweep map, column by column.
-
-    Step sizes between 1e-8 and 1e-4 balance truncation against roundoff for
-    these maps.
-    """
-    if not (h > 0):
-        raise ValueError("h must be positive")
-    mu_star = np.asarray(mu_star, dtype=np.float64)
-    p = mu_star.shape[0]
-    jac = np.empty((p, p))
-    for j in range(p):
-        bump = np.zeros(p)
-        bump[j] = h
-        jac[:, j] = (map_fn(mu_star + bump) - map_fn(mu_star - bump)) / (2.0 * h)
-    return jac
+    return float(np.max(np.abs(np.linalg.eigvals(jac))))
 
 
 @dataclass
@@ -239,24 +144,36 @@ class Assumption1Result:
     flags: List[str] = field(default_factory=list)
 
 
-def _assumption1_from_operators(ops: ScaledOperators, flags: List[str]) -> Assumption1Result:
-    b = ops.curvature
-    incl = ops.incl
+def check_assumption1(mu_star, pre: Precomputed, hyper: Hyperparams) -> Assumption1Result:
+    """Evaluate the contraction conditions at a candidate fixed point.
 
-    one_minus = 1.0 - incl
-    with np.errstate(divide="ignore", invalid="ignore"):
-        odds = np.where(one_minus > 0.0, incl / one_minus, np.inf)
-        diag_terms = np.where(b > 0.0, b * b * odds, 0.0)
-    delta_diag = float(np.max(diag_terms)) if diag_terms.size else 0.0
-    if np.isinf(delta_diag):
-        flags = flags + ["alpha_saturated"]
+    The system is rescaled by the sweep normalizer: Ls = D^{-1/2} L D^{-1/2} is
+    the scaled strict lower Gram triangle, the core C = Ls + Ls^T + I is
+    positive definite by construction (a congruence of the ridge system), and
+    the curvature b = mu^2 a (1 - alpha) measures how strongly the
+    probabilities react to the means. Probabilities are clamped into
+    [_ALPHA_CLAMP, 1 - _ALPHA_CLAMP] (1e-12) first (the inverse-probability
+    diagonal is singular at saturation); clamped coordinates are reported
+    through the ``alpha_saturated`` flag.
+    """
+    mu_star = _finite_mean(mu_star)
+    alpha_raw = inclusion_prob(mu_star, pre.a, hyper)
+    flags: List[str] = []
+    if np.any(alpha_raw > 1.0 - _ALPHA_CLAMP) or np.any(alpha_raw < _ALPHA_CLAMP):
+        flags.append("alpha_saturated")
+    alpha = np.clip(alpha_raw, _ALPHA_CLAMP, 1.0 - _ALPHA_CLAMP)
+    p = pre.p
+    inv_sqrt_d = 1.0 / np.sqrt(pre.d)
+    low = pre.xtx_lower * np.outer(inv_sqrt_d, inv_sqrt_d)
+    core = low + low.T + np.eye(p)
+    b = mu_star * mu_star * pre.a * (1.0 - alpha)
+    delta_diag = float(np.max(b * b * (alpha / (1.0 - alpha))))
 
-    # delta_quad is the top eigenvalue of C^{-1/2} B C^2 B C^{-1/2} (C the core,
-    # B = diag(b)), i.e. of the pencil (B C^2 B) v = lambda C v, B C^2 B = (CB)^T (CB)
-    p = b.shape[0]
-    core_b = ops.core * b[None, :]
+    # delta_quad is the top eigenvalue of C^{-1/2} B C^2 B C^{-1/2} (B = diag(b)),
+    # i.e. of the pencil (B C^2 B) v = lambda C v, B C^2 B = (CB)^T (CB)
+    core_b = core * b[None, :]
     try:
-        top_quad = eigvalsh(core_b.T @ core_b, ops.core, subset_by_index=[p - 1, p - 1])
+        top_quad = eigvalsh(core_b.T @ core_b, core, subset_by_index=[p - 1, p - 1])
     except LinAlgError:
         # the Cholesky factorization of a numerically singular core failed
         nan = float("nan")
@@ -271,7 +188,6 @@ def _assumption1_from_operators(ops: ScaledOperators, flags: List[str]) -> Assum
         )
     delta_quad = float(max(top_quad[0], 0.0))
 
-    low = ops.lower_scaled
     coupling_norm_sq = float(eigvalsh(low.T @ low, subset_by_index=[p - 1, p - 1])[0])
     delta_star = max(delta_quad, delta_diag)
 
@@ -287,9 +203,7 @@ def _assumption1_from_operators(ops: ScaledOperators, flags: List[str]) -> Assum
             flags=flags + ["decoupled"],
         )
 
-    with np.errstate(divide="ignore"):
-        shifted = ops.core + np.diag(1.0 / incl)
-    lam_min = float(eigvalsh(shifted, subset_by_index=[0, 0])[0])
+    lam_min = float(eigvalsh(core + np.diag(1.0 / alpha), subset_by_index=[0, 0])[0])
     delta_bound = min(0.5, lam_min / coupling_norm_sq)
     return Assumption1Result(
         delta_star=delta_star,
@@ -300,23 +214,6 @@ def _assumption1_from_operators(ops: ScaledOperators, flags: List[str]) -> Assum
         coupling_norm_sq=coupling_norm_sq,
         flags=flags,
     )
-
-
-def check_assumption1(mu_star, pre: Precomputed, hyper: Hyperparams) -> Assumption1Result:
-    """Evaluate the contraction conditions at a candidate fixed point.
-
-    Probabilities are clamped into [_ALPHA_CLAMP, 1 - _ALPHA_CLAMP] (1e-12) before
-    building the operators (the inverse-probability diagonal is singular at
-    saturation); clamped coordinates are reported through the ``alpha_saturated`` flag.
-    """
-    mu_star = np.asarray(mu_star, dtype=np.float64)
-    alpha_raw = inclusion_prob(mu_star, pre.a, hyper)
-    flags: List[str] = []
-    if np.any(alpha_raw > 1.0 - _ALPHA_CLAMP) or np.any(alpha_raw < _ALPHA_CLAMP):
-        flags.append("alpha_saturated")
-    alpha = np.clip(alpha_raw, _ALPHA_CLAMP, 1.0 - _ALPHA_CLAMP)
-    ops = scaled_operators(mu_star, alpha, pre)
-    return _assumption1_from_operators(ops, flags)
 
 
 @dataclass
@@ -336,21 +233,24 @@ def analyze_stability(mu_star, pre: Precomputed, hyper: Hyperparams) -> Stabilit
 
     A sup-norm sweep residual above 1e-6 (``_RESIDUAL_TOL``) does not abort
     the analysis but is flagged ``not_fixed_point``, since the radii describe
-    local stability only at a fixed point.
+    local stability only at a fixed point. An operator that overflows (for
+    instance the curvature mu^2 a (1 - alpha) at an extreme slab precision)
+    raises ``FloatingPointError``: it is a numerical breakdown, not a result.
     """
-    mu_star = np.asarray(mu_star, dtype=np.float64)
-    seq_residual = float(np.max(np.abs(engines.seq_sweep(mu_star, pre, hyper) - mu_star)))
-    par_residual = float(np.max(np.abs(engines.par_sweep(mu_star, pre, hyper) - mu_star)))
-    flags = [] if max(seq_residual, par_residual) <= _RESIDUAL_TOL else ["not_fixed_point"]
-    assumption = check_assumption1(mu_star, pre, hyper)
-    return StabilityReport(
-        rho_seq=spectral_radius(jacobian_seq(mu_star, pre, hyper)),
-        rho_par=_par_radius(mu_star, pre, hyper),
-        assumption1=assumption,
-        seq_residual=seq_residual,
-        par_residual=par_residual,
-        flags=flags,
-    )
+    mu_star = _finite_mean(mu_star)
+    with np.errstate(over="raise", invalid="raise"):
+        seq_residual = float(np.max(np.abs(engines.seq_sweep(mu_star, pre, hyper) - mu_star)))
+        par_residual = float(np.max(np.abs(engines.par_sweep(mu_star, pre, hyper) - mu_star)))
+        flags = [] if max(seq_residual, par_residual) <= _RESIDUAL_TOL else ["not_fixed_point"]
+        assumption = check_assumption1(mu_star, pre, hyper)
+        return StabilityReport(
+            rho_seq=spectral_radius(jacobian_seq(mu_star, pre, hyper)),
+            rho_par=_par_radius(mu_star, pre, hyper),
+            assumption1=assumption,
+            seq_residual=seq_residual,
+            par_residual=par_residual,
+            flags=flags,
+        )
 
 
 class WignerStat(NamedTuple):
@@ -382,52 +282,3 @@ def wigner_stat(X, tau: float) -> WignerStat:
     norm = float(np.max(np.abs(np.linalg.eigvalsh(normalized))))
     return WignerStat(norm=norm, ratio=norm / np.sqrt(p / n))
 
-
-def perturbation_decay(
-    map_fn: Callable,
-    mu_star,
-    radius: Optional[float] = None,
-    trials: int = 20,
-    iters: int = 100,
-    seed: int = 0,
-) -> bool:
-    """Empirical stability probe around a fixed point.
-
-    Samples random sup-norm perturbations of the given radius and iterates the
-    map. Returns True when the observed orbit behavior matches the spectral
-    prediction: every orbit contracts when the Jacobian radius is below 0.95,
-    and at least one orbit escapes when it exceeds 1.05. Radii inside that
-    band are not asserted (returns True).
-    """
-    mu_star = np.asarray(mu_star, dtype=np.float64)
-    p = mu_star.shape[0]
-    if radius is None:
-        radius = 1e-4 * (1.0 + float(np.max(np.abs(mu_star))))
-    rho = spectral_radius(fd_jacobian(map_fn, mu_star))
-
-    rng = np.random.default_rng(seed)
-    final_dists = np.empty(trials)
-    max_dists = np.empty(trials)
-    for t in range(trials):
-        direction = rng.standard_normal(p)
-        direction *= radius / np.max(np.abs(direction))
-        x = mu_star + direction
-        max_dist = radius
-        for _ in range(iters):
-            x = map_fn(x)
-            if not np.all(np.isfinite(x)):
-                max_dist = np.inf
-                break
-            max_dist = max(max_dist, float(np.max(np.abs(x - mu_star))))
-            if max_dist > 1e6 * radius:
-                break  # unambiguous escape; stop before overflow
-        final_dists[t] = (
-            float(np.max(np.abs(x - mu_star))) if np.all(np.isfinite(x)) else np.inf
-        )
-        max_dists[t] = max_dist
-
-    if rho < 0.95:
-        return bool(np.all(final_dists < 0.5 * radius))
-    if rho > 1.05:
-        return bool(np.any(max_dists > 10.0 * radius))
-    return True

@@ -1,4 +1,4 @@
-"""Self-contained oracle suite bundling the cross-checks behind `sscavi verify`.
+"""Independent oracles and the cross-check suite behind `sscavi verify`.
 
 Every check pairs a production code path with an independent route to the
 same quantity: coordinate loops against the triangular solve and the symmetric
@@ -6,8 +6,9 @@ matrix-vector product of the production sweeps, analytic Jacobians
 against central differences, pinned sweeps against textbook splitting
 iterations and a direct solve, the closed-form expected log likelihood
 against Monte Carlo, the symmetric parallel radius against the nonsymmetric
-eigensolver on the Jacobian, and the contraction check against its defining
-dense formulas.
+eigensolver on the Jacobian, the contraction check against its defining
+dense formulas, and the spectral radii against perturbation orbits. No
+production code path uses these oracles.
 """
 
 from __future__ import annotations
@@ -81,6 +82,108 @@ def dense_par_sweep(mu, alpha, pre):
     return (pre.xty - offdiag @ (np.asarray(alpha) * np.asarray(mu))) / pre.d
 
 
+def fd_jacobian(map_fn: Callable, mu_star, h: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian of a one-sweep map, column by column.
+
+    Step sizes between 1e-8 and 1e-4 balance truncation against roundoff for
+    these maps.
+    """
+    if not (h > 0):
+        raise ValueError("h must be positive")
+    mu_star = np.asarray(mu_star, dtype=np.float64)
+    p = mu_star.shape[0]
+    jac = np.empty((p, p))
+    for j in range(p):
+        bump = np.zeros(p)
+        bump[j] = h
+        jac[:, j] = (map_fn(mu_star + bump) - map_fn(mu_star - bump)) / (2.0 * h)
+    return jac
+
+
+def gelfand_spectral_radius(jac: np.ndarray, powers=(64, 128, 256)) -> float:
+    """Estimate the spectral radius from the growth of matrix-power norms.
+
+    Computes ||J^k||_2^{1/k} for the requested power-of-two exponents by
+    repeated squaring with rescaling, then extrapolates k -> infinity with a
+    least-squares fit of log estimate against 1/k. Fully independent of the
+    eigendecomposition path, so it doubles as an oracle for it.
+    """
+    jac = np.asarray(jac, dtype=np.float64)
+    top = float(np.linalg.norm(jac, 2))
+    if top == 0.0:
+        return 0.0
+    # invariant: J^k == top^k * exp(log_scale) * current
+    current, log_scale, k = jac / top, 0.0, 1
+    log_norms = {}
+    while k < max(powers):
+        current = current @ current
+        k *= 2
+        log_scale *= 2.0
+        peak = float(np.max(np.abs(current)))
+        if peak == 0.0:
+            return 0.0
+        current /= peak
+        log_scale += np.log(peak)
+        if k in powers:
+            log_norms[k] = (
+                k * np.log(top) + log_scale + np.log(float(np.linalg.norm(current, 2)))
+            )
+    xs = np.array([1.0 / k for k in sorted(log_norms)])
+    ys = np.array([log_norms[k] / k for k in sorted(log_norms)])
+    coeffs = np.polyfit(xs, ys, 1)
+    return float(np.exp(coeffs[1]))
+
+
+def perturbation_decay(
+    map_fn: Callable,
+    mu_star,
+    radius: Optional[float] = None,
+    trials: int = 20,
+    iters: int = 100,
+    seed: int = 0,
+) -> bool:
+    """Empirical stability probe around a fixed point.
+
+    Samples random sup-norm perturbations of the given radius and iterates the
+    map. Returns True when the observed orbit behavior matches the spectral
+    prediction: every orbit contracts when the Jacobian radius is below 0.95,
+    and at least one orbit escapes when it exceeds 1.05. Radii inside that
+    band are not asserted (returns True).
+    """
+    mu_star = np.asarray(mu_star, dtype=np.float64)
+    p = mu_star.shape[0]
+    if radius is None:
+        radius = 1e-4 * (1.0 + float(np.max(np.abs(mu_star))))
+    rho = stability.spectral_radius(fd_jacobian(map_fn, mu_star))
+
+    rng = np.random.default_rng(seed)
+    final_dists = np.empty(trials)
+    max_dists = np.empty(trials)
+    for t in range(trials):
+        direction = rng.standard_normal(p)
+        direction *= radius / np.max(np.abs(direction))
+        x = mu_star + direction
+        max_dist = radius
+        for _ in range(iters):
+            x = map_fn(x)
+            if not np.all(np.isfinite(x)):
+                max_dist = np.inf
+                break
+            max_dist = max(max_dist, float(np.max(np.abs(x - mu_star))))
+            if max_dist > 1e6 * radius:
+                break  # unambiguous escape; stop before overflow
+        final_dists[t] = (
+            float(np.max(np.abs(x - mu_star))) if np.all(np.isfinite(x)) else np.inf
+        )
+        max_dists[t] = max_dist
+
+    if rho < 0.95:
+        return bool(np.all(final_dists < 0.5 * radius))
+    if rho > 1.05:
+        return bool(np.any(max_dists > 10.0 * radius))
+    return True
+
+
 class DenseAssumption1(NamedTuple):
     delta_quad: float
     coupling_norm_sq: float
@@ -95,21 +198,25 @@ def dense_assumption1(mu_star, pre, hyper: Hyperparams) -> DenseAssumption1:
     of the full spectrum of C^{-1/2} B C^2 B C^{-1/2}, C^{-1/2} taken from a full
     eigendecomposition of C; the coupling norm is the SVD 2-norm of the scaled
     lower triangle; lam_min is the bottom of the full spectrum of C + diag(1/alpha).
+    C is built here from the dense Gram matrix, C = D^{-1/2} (X^T X - diag) D^{-1/2} + I.
     Probabilities are clamped into [1e-12, 1 - 1e-12] as in the production check.
     """
+    mu_star = np.asarray(mu_star, dtype=np.float64)
     alpha = np.clip(inclusion_prob(mu_star, pre.a, hyper), 1e-12, 1.0 - 1e-12)
-    ops = stability.scaled_operators(mu_star, alpha, pre)
-    b = ops.curvature
-    evals, evecs = np.linalg.eigh(ops.core)
+    gram = pre.xtx
+    scaled_offdiag = (gram - np.diag(np.diag(gram))) / np.sqrt(np.outer(pre.d, pre.d))
+    core = scaled_offdiag + np.eye(pre.p)
+    b = mu_star**2 * pre.a * (1.0 - alpha)
+    evals, evecs = np.linalg.eigh(core)
     inv_sqrt_core = (evecs * evals**-0.5) @ evecs.T
-    quad_op = inv_sqrt_core @ (b[:, None] * (ops.core @ ops.core) * b) @ inv_sqrt_core
+    quad_op = inv_sqrt_core @ (b[:, None] * (core @ core) * b) @ inv_sqrt_core
     delta_quad = max(float(np.max(np.linalg.eigvalsh(0.5 * (quad_op + quad_op.T)))), 0.0)
     delta_diag = float(np.max(b * b * alpha / (1.0 - alpha)))
-    coupling_norm_sq = float(np.linalg.norm(ops.lower_scaled, 2) ** 2)
+    coupling_norm_sq = float(np.linalg.norm(np.tril(scaled_offdiag, -1), 2) ** 2)
     if coupling_norm_sq < 1e-14:
         delta_bound = float("inf")
     else:
-        lam_min = float(np.min(np.linalg.eigvalsh(ops.core + np.diag(1.0 / alpha))))
+        lam_min = float(np.min(np.linalg.eigvalsh(core + np.diag(1.0 / alpha))))
         delta_bound = min(0.5, lam_min / coupling_norm_sq)
     return DenseAssumption1(
         delta_quad, coupling_norm_sq, delta_bound, max(delta_quad, delta_diag) < delta_bound
@@ -200,15 +307,15 @@ def run_checks(
     state = engines.fixed_point(ds, hyper, engines.RunConfig(), pre=pre)
     jac_seq = stability.jacobian_seq(state.mu, pre, hyper)
     jac_par = stability.jacobian_par(state.mu, pre, hyper)
-    fd_seq = stability.fd_jacobian(lambda m: engines.seq_sweep(m, pre, hyper), state.mu)
-    fd_par = stability.fd_jacobian(lambda m: engines.par_sweep(m, pre, hyper), state.mu)
+    fd_seq = fd_jacobian(lambda m: engines.seq_sweep(m, pre, hyper), state.mu)
+    fd_par = fd_jacobian(lambda m: engines.par_sweep(m, pre, hyper), state.mu)
     err_seq = float(np.max(np.abs(jac_seq - fd_seq) / (1.0 + np.abs(fd_seq))))
     err_par = float(np.max(np.abs(jac_par - fd_par) / (1.0 + np.abs(fd_par))))
     results.append(CheckResult("fd_jacobian_seq", err_seq, 1e-5, err_seq < 1e-5))
     results.append(CheckResult("fd_jacobian_par", err_par, 1e-5, err_par < 1e-5))
 
     for h in (1e-5, 1e-6, 1e-7):
-        fd_h = stability.fd_jacobian(lambda m: engines.seq_sweep(m, pre, hyper), state.mu, h=h)
+        fd_h = fd_jacobian(lambda m: engines.seq_sweep(m, pre, hyper), state.mu, h=h)
         err_h = float(np.max(np.abs(jac_seq - fd_h) / (1.0 + np.abs(fd_h))))
         # reported for the h-sensitivity profile, not asserted
         results.append(CheckResult(f"fd_h_sweep_{h:.0e}", err_h, float("nan"), True))
@@ -254,7 +361,7 @@ def run_checks(
     results.append(CheckResult("par_radius_similarity", sim_diff, 1e-8, sim_diff < 1e-8))
 
     note("perturbation decay")
-    contract_ok = stability.perturbation_decay(
+    contract_ok = perturbation_decay(
         lambda m: engines.seq_sweep(m, pre, hyper), state.mu, trials=10, iters=80, seed=seed
     )
     results.append(
@@ -263,7 +370,7 @@ def run_checks(
     ds_dense = make_dataset(GenSpec(n=100, p=50, s=50, seed=seed + 3))
     pre_dense = precompute(ds_dense, hyper)
     state_dense = engines.fixed_point(ds_dense, hyper, engines.RunConfig(), pre=pre_dense)
-    escape_ok = stability.perturbation_decay(
+    escape_ok = perturbation_decay(
         lambda m: engines.par_sweep(m, pre_dense, hyper),
         state_dense.mu,
         trials=10,

@@ -13,6 +13,7 @@ from sscavi import cli, engines, stability
 from sscavi.model import Hyperparams, VariationalState, expected_loglik, precompute
 from sscavi.synth import GenSpec, make_dataset, replicate_seed
 from sscavi.verify import (
+    fd_jacobian,
     mc_expected_loglik,
     textbook_gauss_seidel_sweep,
     textbook_jacobi_sweep,
@@ -108,7 +109,7 @@ def test_c05_jacobian_finite_difference_oracle():
             (stability.jacobian_par, engines.par_sweep),
         ):
             jac = jac_fn(state.mu, pre, HYPER)
-            fd = stability.fd_jacobian(lambda m: sweep(m, pre, HYPER), state.mu)
+            fd = fd_jacobian(lambda m: sweep(m, pre, HYPER), state.mu)
             worst = max(worst, float(np.max(np.abs(jac - fd) / (1 + np.abs(fd)))))
     _criterion(5, worst < 1e-5, f"max FD relative error {worst:.3g} (need < 1e-5)")
 

@@ -3,9 +3,12 @@
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sscavi import cli, engines, harness
 from sscavi.harness import ConfigError, StudyConfig
@@ -209,6 +212,51 @@ def test_cli_spectral_study_singular_core(tmp_path):
                         "log_rho_par,seq_converged,assumption1_satisfied")
     assert len(lines) == 4
     assert all(line.endswith(",false") for line in lines[1:])
+
+
+def test_cli_numerical_failure_exit(tmp_path, capsys, monkeypatch):
+    # a curvature that overflows, and an eigensolver that does not converge,
+    # end the study with exit 1 and no rho.csv
+    out = str(tmp_path / "fail")
+    overflow = ["spectral-study", "--panel", "left", "--n", "1", "--p", "1", "--max-iter", "1",
+                "--tau", "1e308", "--amplitude", "1e308", "--reps", "1", "--out", out]
+    assert cli.main(overflow) == 1
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not os.path.exists(os.path.join(out, "rho.csv"))
+
+    def raising_eigvals(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", raising_eigvals)
+    argv = ["spectral-study", "--panel", "left", "--p", "10", "--reps", "1", "--out", out]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not os.path.exists(os.path.join(out, "rho.csv"))
+
+
+_SIZES = st.integers(min_value=-1, max_value=12).map(str)
+_REALS = st.sampled_from(["1.0", "0.5", "3", "0", "-1", "abc", "", "nan", "inf", "-inf", "1e308"])
+
+
+@given(
+    command=st.sampled_from(["run-example", "spectral-study", "gen-data"]),
+    n=_SIZES,
+    p=_SIZES,
+    s=_SIZES,
+    max_iter=st.integers(min_value=-1, max_value=20).map(str),
+    tau=_REALS,
+    amplitude=_REALS,
+    scheme=st.sampled_from(["seq", "par"]),
+    panel=st.sampled_from(["left", "right", "both"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_cli_boundary_exit_codes(command, n, p, s, max_iter, tau, amplitude, scheme, panel):
+    # every small argument combination ends in a documented exit status
+    argv = [command, f"--n={n}", f"--p={p}", f"--s={s}", "--reps=1",
+            f"--max-iter={max_iter}", f"--tau={tau}", f"--amplitude={amplitude}",
+            f"--scheme={scheme}", f"--panel={panel}"]
+    with tempfile.TemporaryDirectory() as out:
+        assert cli.main(argv + [f"--out={out}"]) in (0, 1, 2), argv
 
 
 def test_cli_config_file_with_override(tmp_path):

@@ -8,21 +8,21 @@ from hypothesis import strategies as st
 from sscavi import engines
 from sscavi.model import Dataset, Hyperparams, inclusion_prob, precompute
 from sscavi.stability import (
-    _assumption1_from_operators,
     _par_radius,
     analyze_stability,
     check_assumption1,
-    fd_jacobian,
-    gelfand_spectral_radius,
     jacobian_par,
     jacobian_seq,
-    perturbation_decay,
-    scaled_operators,
     spectral_radius,
     wigner_stat,
 )
 from sscavi.synth import GenSpec, make_dataset, replicate_seed
-from sscavi.verify import dense_assumption1
+from sscavi.verify import (
+    dense_assumption1,
+    fd_jacobian,
+    gelfand_spectral_radius,
+    perturbation_decay,
+)
 
 HYPER = Hyperparams(pi=0.5, tau=1.0, sigma2=1.0)
 
@@ -106,14 +106,13 @@ def test_dropping_inhomogeneous_term_breaks_fd_match():
     assert err > 1e-5
 
 
-def test_spectral_radius_falls_back_to_norm_growth(monkeypatch):
+def test_spectral_radius_raises_when_eigensolver_fails(monkeypatch):
     def raising_eigvals(_):
         raise np.linalg.LinAlgError("no convergence")
 
     monkeypatch.setattr(np.linalg, "eigvals", raising_eigvals)
-    with pytest.warns(RuntimeWarning):
-        value = spectral_radius(np.diag([0.5, -0.25]))
-    assert value == pytest.approx(0.5, rel=0.01)
+    with pytest.raises(np.linalg.LinAlgError, match="no convergence"):
+        spectral_radius(np.diag([0.5, -0.25]))
 
 
 def test_fd_jacobian_recovers_linear_map():
@@ -149,8 +148,11 @@ def test_gelfand_handles_nilpotent():
 def test_parallel_radius_equals_similar_factorization():
     ds, pre, state = _converged_instance(n=60, p=12, s=6, seed=5)
     jac = jacobian_par(state.mu, pre, HYPER)
-    ops = scaled_operators(state.mu, state.alpha, pre)
-    similar = -ops.offdiag * ((1.0 + ops.curvature) * ops.incl)[None, :]
+    # D^{1/2} J D^{-1/2} = -(scaled off-diagonal Gram) diag(alpha (1 + mu^2 a (1 - alpha)))
+    gram = pre.xtx
+    offdiag = (gram - np.diag(np.diag(gram))) / np.sqrt(np.outer(pre.d, pre.d))
+    curvature = state.mu**2 * pre.a * (1.0 - state.alpha)
+    similar = -offdiag * ((1.0 + curvature) * state.alpha)[None, :]
     assert spectral_radius(jac) == pytest.approx(spectral_radius(similar), abs=1e-8)
 
 
@@ -176,8 +178,9 @@ def test_par_radius_rejects_nonfinite_mean():
     ds, pre, state = _converged_instance()
     mu = state.mu.copy()
     mu[2] = np.nan
-    with pytest.raises(ValueError, match="finite entries"):
-        _par_radius(mu, pre, HYPER)
+    for entry in (_par_radius, check_assumption1, analyze_stability, jacobian_seq):
+        with pytest.raises(ValueError, match="finite"):
+            entry(mu, pre, HYPER)
 
 
 def _assumption1_instances():
@@ -260,22 +263,6 @@ def test_assumption1_strong_signal_regime():
     assert result.satisfied
     # clamped saturation leaves a tiny residual, far below the 0.5 bound
     assert result.delta_diag < 1e-3
-    assert "alpha_saturated" in result.flags
-
-
-def test_assumption1_exact_saturation_with_positive_curvature():
-    # inconsistent hand-built operators: probability pinned at one while the
-    # curvature stays positive sends the diagonal condition to infinity
-    ds = make_dataset(GenSpec(n=30, p=4, s=2, seed=2))
-    pre = precompute(ds, HYPER)
-    mu = np.full(4, 2.0)
-    alpha = np.array([1.0, 0.5, 0.5, 0.5])
-    ops = scaled_operators(mu, alpha, pre)
-    assert ops.curvature[0] == 0.0
-    ops.curvature[0] = 1.0  # force the inconsistency
-    result = _assumption1_from_operators(ops, [])
-    assert np.isinf(result.delta_diag)
-    assert not result.satisfied
     assert "alpha_saturated" in result.flags
 
 
