@@ -74,10 +74,12 @@ class RunConfig:
 
 @dataclass
 class RunTrace:
-    """Per-iteration ELBO and step norms plus the terminal status.
+    """Terminal status, iteration count and final state of one iteration.
 
+    :func:`run` also records the per-iteration ELBO and step norms:
     ``elbo[k]``/``step_sup_norm[k]`` belong to iteration ``iterations[k]``;
-    index 0 records the initial state (its step norm is NaN).
+    index 0 records the initial state (its step norm is NaN). The trace of a
+    :class:`FixedPointError` leaves these lists empty.
     """
 
     status: str  # "converged" | "max_iter" | "diverged"
@@ -97,7 +99,12 @@ class RunTrace:
 
 
 class FixedPointError(RuntimeError):
-    """Sequential iteration failed to reach a fixed point; carries the trace."""
+    """Sequential iteration failed to reach a fixed point.
+
+    ``trace`` carries the status, iteration count and final state of the
+    sequential run; its per-iteration lists are empty, since
+    :func:`fixed_point` records no ELBO or step history.
+    """
 
     def __init__(self, message: str, trace: RunTrace):
         super().__init__(message)
@@ -184,6 +191,33 @@ def _initial_mu(cfg: RunConfig, pre: Precomputed) -> np.ndarray:
     return mu0.copy()
 
 
+def _iterate(mu, alpha, sweep, alpha_of, cfg: RunConfig, record=None):
+    """Iterate ``mu <- sweep(mu, alpha)`` under the one stop rule of both drivers.
+
+    ``alpha`` is the inclusion probability of the entry iterate and
+    ``alpha_of`` recomputes it once per new iterate, so each sweep reuses the
+    probabilities the previous step evaluated. The iteration has converged
+    when the sup norm of the mean update falls below ``cfg.tol``, has diverged
+    on a non-finite iterate or one whose sup norm exceeds
+    ``cfg.divergence_threshold``, and otherwise stops at ``cfg.max_iter``.
+    ``record(t, mu, alpha, step, finite)``, when given, sees every iterate.
+    Returns ``(status, n_iter, mu, alpha)``.
+    """
+    for t in range(1, cfg.max_iter + 1):
+        mu_new = sweep(mu, alpha)
+        finite = bool(np.all(np.isfinite(mu_new)))
+        step = float(np.max(np.abs(mu_new - mu))) if finite else float("nan")
+        mu = mu_new
+        alpha = alpha_of(mu)
+        if record is not None:
+            record(t, mu, alpha, step, finite)
+        if not finite or np.max(np.abs(mu)) > cfg.divergence_threshold:
+            return "diverged", t, mu, alpha
+        if step < cfg.tol:
+            return "converged", t, mu, alpha
+    return "max_iter", cfg.max_iter, mu, alpha
+
+
 def run(
     dataset: Dataset,
     hyper: Hyperparams,
@@ -194,59 +228,41 @@ def run(
 ) -> RunTrace:
     """Iterate the selected sweep until convergence, divergence, or max_iter.
 
-    Convergence is declared on the sup norm of the mean update; divergence on
-    a non-finite iterate or a sup norm above the configured threshold, and is
-    a normal return rather than an exception. ``pin_alpha`` freezes every
-    inclusion probability at one, reducing both schemes to classical linear
-    splitting iterations for the ridge system.
+    The stop rule is :func:`_iterate`'s; divergence is a normal return rather
+    than an exception. The ELBO is evaluated at the initial state and after
+    every sweep. ``pin_alpha`` freezes every inclusion probability at one,
+    reducing both schemes to classical linear splitting iterations for the
+    ridge system.
     """
     if pre is None:
         pre = precompute(dataset, hyper)
     alpha_override = np.ones(pre.p) if pin_alpha else None
+    refresh = scheme.alpha_refresh_within_sweep and not pin_alpha
+
+    def alpha_of(mu):
+        return _resolve_alpha(mu, pre, hyper, alpha_override)
+
+    def sweep(mu, alpha):
+        if scheme.variant == PARALLEL:
+            return par_sweep(mu, pre, hyper, alpha_override=alpha)
+        if refresh:  # the sweep computes its own probabilities
+            return seq_sweep(mu, pre, hyper, refresh_alpha=True)
+        return seq_sweep(mu, pre, hyper, alpha_override=alpha)
+
+    iterations, elbos, steps = [], [], []
+
+    def record(t, mu, alpha, step, finite):
+        iterations.append(t)
+        elbos.append(
+            _elbo(VariationalState(mu, alpha), dataset, hyper, pre) if finite else float("nan")
+        )
+        steps.append(step)
 
     mu = _initial_mu(cfg, pre)
-    alpha = _resolve_alpha(mu, pre, hyper, alpha_override)
-    trace = RunTrace(status="max_iter", n_iter=0, final_state=VariationalState(mu, alpha))
-    trace.iterations.append(0)
-    trace.elbo.append(_elbo(VariationalState(mu, alpha), dataset, hyper, pre))
-    trace.step_sup_norm.append(float("nan"))
-
-    sequential = scheme.variant == SEQUENTIAL
-    for t in range(1, cfg.max_iter + 1):
-        if sequential:
-            mu_new = seq_sweep(
-                mu,
-                pre,
-                hyper,
-                refresh_alpha=scheme.alpha_refresh_within_sweep,
-                alpha_override=alpha_override,
-            )
-        else:
-            mu_new = par_sweep(mu, pre, hyper, alpha_override=alpha_override)
-
-        finite = bool(np.all(np.isfinite(mu_new)))
-        step = float(np.max(np.abs(mu_new - mu))) if finite else float("nan")
-        mu = mu_new
-        alpha = _resolve_alpha(mu, pre, hyper, alpha_override)
-        state = VariationalState(mu, alpha)
-
-        trace.iterations.append(t)
-        trace.elbo.append(
-            _elbo(state, dataset, hyper, pre) if finite else float("nan")
-        )
-        trace.step_sup_norm.append(step)
-        trace.n_iter = t
-        trace.final_state = state
-
-        if not finite or np.max(np.abs(mu)) > cfg.divergence_threshold:
-            trace.status = "diverged"
-            return trace
-        if step < cfg.tol:
-            trace.status = "converged"
-            return trace
-
-    trace.status = "max_iter"
-    return trace
+    alpha = alpha_of(mu)
+    record(0, mu, alpha, float("nan"), True)
+    status, n_iter, mu, alpha = _iterate(mu, alpha, sweep, alpha_of, cfg, record)
+    return RunTrace(status, n_iter, VariationalState(mu, alpha), iterations, elbos, steps)
 
 
 def fixed_point(
@@ -257,28 +273,44 @@ def fixed_point(
 ) -> VariationalState:
     """Converge the sequential scheme and certify the result as a fixed point.
 
-    Both schemes share their fixed points, so the returned state must leave
-    each one-sweep map nearly invariant: residuals below ``10 * cfg.tol`` in
-    sup norm. Up to ``_MAX_POLISH`` polishing sweeps tighten the parallel residual
-    when needed; persistent failure raises :class:`FixedPointError` with the trace.
+    The frozen-probability sequential sweep runs under :func:`_iterate`'s stop
+    rule with no ELBO and no per-iteration state or trace. Both schemes share
+    their fixed points, so the returned state must leave each one-sweep map
+    nearly invariant: residuals below ``10 * cfg.tol`` in sup norm. Up to
+    ``_MAX_POLISH`` polishing sweeps tighten the parallel residual when needed.
+    Failure to converge, or persistent failure to polish, raises
+    :class:`FixedPointError`; its trace carries the status, the iteration
+    count and the final iterate of the sequential run, and empty
+    per-iteration lists.
     """
     if pre is None:
         pre = precompute(dataset, hyper)
-    trace = run(dataset, hyper, Scheme(SEQUENTIAL), cfg, pre=pre)
-    if not trace.converged:
+
+    def alpha_of(mu):
+        return inclusion_prob(mu, pre.a, hyper)
+
+    def sweep(mu, alpha):
+        return seq_sweep(mu, pre, hyper, alpha_override=alpha)
+
+    mu = _initial_mu(cfg, pre)
+    status, n_iter, mu, alpha = _iterate(mu, alpha_of(mu), sweep, alpha_of, cfg)
+    if status != "converged":
         raise FixedPointError(
-            f"sequential iteration did not converge (status {trace.status})", trace
+            f"sequential iteration did not converge (status {status})",
+            RunTrace(status, n_iter, VariationalState(mu, alpha)),
         )
 
-    mu = trace.final_state.mu
+    mu_run, alpha_run = mu, alpha
     target = 10.0 * cfg.tol
     for _ in range(_MAX_POLISH):
-        swept = seq_sweep(mu, pre, hyper)
+        swept = sweep(mu, alpha)
         seq_res = float(np.max(np.abs(swept - mu)))
-        par_res = float(np.max(np.abs(par_sweep(mu, pre, hyper) - mu)))
+        par_res = float(np.max(np.abs(par_sweep(mu, pre, hyper, alpha_override=alpha) - mu)))
         if seq_res < target and par_res < target:
-            return VariationalState.from_mu(mu, pre, hyper)
+            return VariationalState(mu, alpha)
         mu = swept
+        alpha = alpha_of(mu)
     raise FixedPointError(
-        "fixed-point residuals did not reach the target after polishing", trace
+        "fixed-point residuals did not reach the target after polishing",
+        RunTrace(status, n_iter, VariationalState(mu_run, alpha_run)),
     )

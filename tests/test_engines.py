@@ -201,11 +201,34 @@ def test_fixed_point_orthogonal_single_sweep():
     np.testing.assert_allclose(state.mu, pre.xty / pre.d, atol=1e-12)
 
 
+def test_fixed_point_evaluates_no_elbo(monkeypatch):
+    # fixed_point never reads the ELBO, so it must not compute one; its
+    # iterate is the sequential run's, bit for bit
+    ds, pre = _random_instance(200, 50, 25, seed=0)
+    cfg = RunConfig(max_iter=500)
+    trace = run(ds, HYPER, Scheme("sequential"), cfg, pre=pre)
+
+    def no_elbo(*_args, **_kwargs):
+        raise AssertionError("fixed_point evaluated the ELBO")
+
+    monkeypatch.setattr(engines, "_elbo", no_elbo)
+    state = fixed_point(ds, HYPER, cfg, pre=pre)
+    assert np.array_equal(state.mu, trace.final_state.mu)
+
+
 def test_fixed_point_error_carries_trace():
     ds, pre = _random_instance(100, 50, 50, seed=1)
     with pytest.raises(FixedPointError) as info:
         fixed_point(ds, HYPER, RunConfig(max_iter=2, tol=1e-14), pre=pre)
     assert info.value.trace.status == "max_iter"
+    assert info.value.trace.n_iter == 2
+
+    ds, pre = _random_instance(200, 50, 25, seed=0)
+    with pytest.raises(FixedPointError) as info:
+        fixed_point(ds, HYPER, RunConfig(divergence_threshold=1e-3, tol=1e-9), pre=pre)
+    assert info.value.trace.status == "diverged"
+    assert info.value.trace.n_iter == 1
+    assert info.value.trace.final_state.mu.shape == (50,)
 
 
 def test_sequential_elbo_monotone_across_instances(running_example_runs):

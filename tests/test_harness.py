@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -216,11 +217,15 @@ def test_cli_spectral_study_singular_core(tmp_path):
 
 def test_cli_numerical_failure_exit(tmp_path, capsys, monkeypatch):
     # a curvature that overflows, and an eigensolver that does not converge,
-    # end the study with exit 1 and no rho.csv
+    # end the study with exit 1 and no rho.csv; the overflow is reported, not
+    # also warned about
     out = str(tmp_path / "fail")
     overflow = ["spectral-study", "--panel", "left", "--n", "1", "--p", "1", "--max-iter", "1",
                 "--tau", "1e308", "--amplitude", "1e308", "--reps", "1", "--out", out]
-    assert cli.main(overflow) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(overflow) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert capsys.readouterr().err.startswith("numerical failure: ")
     assert not os.path.exists(os.path.join(out, "rho.csv"))
 
