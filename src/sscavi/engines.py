@@ -2,8 +2,13 @@
 
 The sequential scheme reuses freshly updated coordinates within a sweep
 (Gauss-Seidel ordering); the parallel scheme updates every coordinate from the
-previous iterate (Jacobi ordering). Both become linear splitting iterations
-for the ridge system when the inclusion probabilities are pinned to one.
+previous iterate (Jacobi ordering). Both sweeps freeze the inclusion
+probabilities at their entry values (the mu-block map), so a sequential sweep
+is one triangular solve. The per-coordinate map, which refreshes each
+probability right after its own mean, shares the fixed points but is not
+shipped; :func:`sscavi.verify.coordinate_seq_sweep` is its reference. Both
+schemes become linear splitting iterations for the ridge system when the
+inclusion probabilities are pinned to one.
 """
 
 from __future__ import annotations
@@ -43,10 +48,9 @@ _MAX_POLISH = 200
 
 @dataclass(frozen=True)
 class Scheme:
-    """Update-order selection; the within-sweep refresh applies only to sequential."""
+    """Update order: the frozen-probability Gauss-Seidel sweep or the Jacobi sweep."""
 
     variant: str = SEQUENTIAL
-    alpha_refresh_within_sweep: bool = False
 
     def __post_init__(self):
         if self.variant not in (SEQUENTIAL, PARALLEL):
@@ -117,24 +121,6 @@ def _resolve_alpha(mu, pre, hyper, alpha_override):
     return inclusion_prob(mu, pre.a, hyper)
 
 
-def _seq_sweep_refresh(mu, alpha, pre: Precomputed, hyper: Hyperparams) -> np.ndarray:
-    """Sequential sweep that refreshes alpha[j] right after mu[j] updates.
-
-    Each coordinate's probability depends on its fresh mean, so the sweep is
-    order-nonlinear and stays a loop over coordinates. Row j of the Gram
-    matrix is read from the stored triangle: ``low[j, :j]`` to its left and
-    ``low[j+1:, j]`` to its right.
-    """
-    low = pre.xtx_lower
-    weighted = alpha * mu  # fresh entries below j, entry-state entries above
-    mu_new = np.empty_like(mu)
-    for j in range(pre.p):
-        acc = pre.xty[j] - low[j, :j] @ weighted[:j] - low[j + 1 :, j] @ weighted[j + 1 :]
-        mu_new[j] = acc / pre.d[j]
-        weighted[j] = inclusion_prob(mu_new[j], pre.a[j], hyper) * mu_new[j]
-    return mu_new
-
-
 def seq_sweep_system(alpha, pre: Precomputed) -> np.ndarray:
     """The sequential sweep's lower-triangular system D + L diag(alpha), L the Gram triangle."""
     sweep_sys = pre.xtx_lower * alpha
@@ -142,28 +128,19 @@ def seq_sweep_system(alpha, pre: Precomputed) -> np.ndarray:
     return sweep_sys
 
 
-def seq_sweep(
-    mu,
-    pre: Precomputed,
-    hyper: Hyperparams,
-    refresh_alpha: bool = False,
-    alpha_override=None,
-) -> np.ndarray:
+def seq_sweep(mu, pre: Precomputed, hyper: Hyperparams, alpha_override=None) -> np.ndarray:
     """One sequential sweep starting from ``mu``.
 
-    With the probabilities frozen at their entry values the sweep is one
+    The probabilities stay frozen at their entry values, so the sweep is one
     Gauss-Seidel step: it solves the lower-triangular system
     ``(D + L diag(alpha)) mu' = xty - L^T (alpha * mu)``, L the strict lower
-    Gram triangle. With ``refresh_alpha`` the inclusion probability of a
-    coordinate is recomputed immediately after that coordinate updates.
-    ``alpha_override`` pins the probabilities explicitly (e.g. all ones for
-    the ridge degeneracy). Non-finite inputs give non-finite outputs rather
-    than an exception, so :func:`run` can report them as divergence.
+    Gram triangle. ``alpha_override`` pins the probabilities explicitly (e.g.
+    all ones for the ridge degeneracy). Non-finite inputs give non-finite
+    outputs rather than an exception, so :func:`run` can report them as
+    divergence.
     """
     mu = np.ascontiguousarray(mu, dtype=np.float64)
     alpha = _resolve_alpha(mu, pre, hyper, alpha_override)
-    if refresh_alpha and alpha_override is None:
-        return _seq_sweep_refresh(mu, alpha, pre, hyper)
     rhs = pre.xty - pre.xtx_lower.T @ (alpha * mu)
     # the transpose is the Fortran-ordered upper triangle: solve it transposed, no copy
     return dtrsv(seq_sweep_system(alpha, pre).T, rhs, lower=0, trans=1)
@@ -237,7 +214,6 @@ def run(
     if pre is None:
         pre = precompute(dataset, hyper)
     alpha_override = np.ones(pre.p) if pin_alpha else None
-    refresh = scheme.alpha_refresh_within_sweep and not pin_alpha
 
     def alpha_of(mu):
         return _resolve_alpha(mu, pre, hyper, alpha_override)
@@ -245,8 +221,6 @@ def run(
     def sweep(mu, alpha):
         if scheme.variant == PARALLEL:
             return par_sweep(mu, pre, hyper, alpha_override=alpha)
-        if refresh:  # the sweep computes its own probabilities
-            return seq_sweep(mu, pre, hyper, refresh_alpha=True)
         return seq_sweep(mu, pre, hyper, alpha_override=alpha)
 
     iterations, elbos, steps = [], [], []

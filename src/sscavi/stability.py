@@ -60,10 +60,12 @@ def _alpha_and_grad(mu_star, pre, hyper, alpha_override):
 def jacobian_seq(
     mu_star, pre: Precomputed, hyper: Hyperparams, alpha_override=None
 ) -> np.ndarray:
-    """Analytic Jacobian of the sequential one-sweep map at ``mu_star``.
+    """Analytic Jacobian of the frozen-probability sequential sweep at ``mu_star``.
 
-    The sweep S(mu) solves T S = xty - L^T (alpha * mu) with T = D + L diag(alpha)
-    (:func:`engines.seq_sweep_system`) and alpha = alpha(mu). Differentiating
+    This is the package's one sequential map, :func:`engines.seq_sweep`: the
+    sweep S(mu) solves T S = xty - L^T (alpha * mu) with T = D + L diag(alpha)
+    (:func:`engines.seq_sweep_system`) and alpha = alpha(mu) frozen at the
+    entry iterate, so rho_seq is the radius of this map. Differentiating
     that system gives one triangular solve with a p x p right-hand side,
     J = -T^{-1} [L^T diag(alpha + alpha' * mu) + L diag(alpha' * S(mu))],
     exact at any ``mu_star``, not only at fixed points (where S(mu) = mu).

@@ -7,8 +7,10 @@ against central differences, pinned sweeps against textbook splitting
 iterations and a direct solve, the closed-form expected log likelihood
 against Monte Carlo, the symmetric parallel radius against the nonsymmetric
 eigensolver on the Jacobian, the contraction check against its defining
-dense formulas, and the spectral radii against perturbation orbits. No
-production code path uses these oracles.
+dense formulas, and the spectral radii against perturbation orbits. The
+per-coordinate sequential map, which the package does not ship, is kept here
+as a reference whose fixed points the tests hold to the production sweep's.
+No production code path uses these oracles.
 """
 
 from __future__ import annotations
@@ -58,8 +60,11 @@ def coordinate_seq_sweep(mu, alpha, pre, refresh_hyper: Optional[Hyperparams] = 
     """One sequential sweep as an explicit loop over the dense Gram matrix.
 
     Coordinate j reads the fresh means below it and the entry means above
-    it. With ``refresh_hyper`` given, ``alpha[j]`` is recomputed from the fresh
-    mean right after coordinate j updates; otherwise alpha stays frozen.
+    it. By default alpha stays frozen, the oracle for :func:`engines.seq_sweep`.
+    With ``refresh_hyper`` given, ``alpha[j]`` is recomputed from the fresh
+    mean right after coordinate j updates: the per-coordinate map of
+    Carbonetto & Stephens (2012), which the package does not ship, and of
+    which this branch is the reference.
     """
     gram = pre.xtx
     alpha = np.array(alpha, dtype=np.float64)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sscavi import engines
 from sscavi.engines import (
@@ -14,7 +17,7 @@ from sscavi.engines import (
     seq_sweep,
 )
 from sscavi.model import Dataset, Hyperparams, inclusion_prob, precompute
-from sscavi.synth import GenSpec, make_dataset
+from sscavi.synth import GenSpec, make_dataset, replicate_seed
 from sscavi.verify import (
     coordinate_seq_sweep,
     dense_par_sweep,
@@ -66,11 +69,6 @@ def test_sweep_dual_forms_agree():
         np.testing.assert_allclose(
             par_sweep(mu, pre, HYPER), dense_par_sweep(mu, alpha, pre), atol=1e-10
         )
-        np.testing.assert_allclose(
-            seq_sweep(mu, pre, HYPER, refresh_alpha=True),
-            coordinate_seq_sweep(mu, alpha, pre, refresh_hyper=HYPER),
-            atol=1e-10,
-        )
 
 
 def test_seq_sweep_coordinate_recursion_explicit():
@@ -90,25 +88,65 @@ def test_seq_sweep_coordinate_recursion_explicit():
     np.testing.assert_allclose(seq_sweep(mu, pre, HYPER), expected, atol=1e-13)
 
 
-def test_seq_sweep_refresh_updates_alpha_in_order():
-    _, pre = _random_instance(30, 6, 3, seed=13)
-    rng = np.random.default_rng(13)
-    mu = rng.standard_normal(6)
-    alpha = inclusion_prob(mu, pre.a, HYPER).copy()
-    expected = np.empty(6)
-    for j in range(6):
-        acc = pre.xty[j]
-        for l in range(j):
-            acc -= pre.xtx[j, l] * alpha[l] * expected[l]
-        for l in range(j + 1, 6):
-            acc -= pre.xtx[j, l] * alpha[l] * mu[l]
-        expected[j] = acc / pre.d[j]
-        alpha[j] = inclusion_prob(expected[j], pre.a[j], HYPER)
-    np.testing.assert_allclose(
-        seq_sweep(mu, pre, HYPER, refresh_alpha=True), expected, atol=1e-13
-    )
-    # refresh differs from the frozen sweep on coupled designs
-    assert not np.allclose(seq_sweep(mu, pre, HYPER), expected)
+entries = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_subnormal=False)
+probs = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def sweep_inputs(draw):
+    """A design with p in [1, 12], optionally one zero column, a mean vector
+    and either no override or an alpha override with exact 0s and 1s."""
+    p = draw(st.integers(min_value=1, max_value=12))
+    n = draw(st.integers(min_value=1, max_value=15))
+    X = draw(arrays(np.float64, (n, p), elements=entries))
+    zero_col = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=p - 1)))
+    if zero_col is not None:
+        X[:, zero_col] = 0.0
+    y = draw(arrays(np.float64, n, elements=entries))
+    mu = draw(arrays(np.float64, p, elements=entries))
+    alpha = draw(st.one_of(st.none(), arrays(np.float64, p, elements=probs)))
+    return Dataset(X=X, y=y), mu, alpha
+
+
+@given(sweep_inputs())
+@settings(max_examples=300, deadline=None)
+def test_seq_sweep_matches_coordinate_loop(inputs):
+    ds, mu, alpha_override = inputs
+    pre = precompute(ds, HYPER)
+    alpha = inclusion_prob(mu, pre.a, HYPER) if alpha_override is None else alpha_override
+    expected = coordinate_seq_sweep(mu, alpha, pre)
+    got = seq_sweep(mu, pre, HYPER, alpha_override=alpha_override)
+    scale = max(float(np.max(np.abs(expected))), np.finfo(float).tiny)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+
+
+def test_sweeps_propagate_nonfinite():
+    ds = make_dataset(GenSpec(n=80, p=6, s=3, seed=2))
+    pre = precompute(ds, HYPER)
+    mu = np.random.default_rng(2).standard_normal(6)
+    mu[0] = np.nan
+    for sweep in (seq_sweep, par_sweep):
+        assert np.any(~np.isfinite(sweep(mu, pre, HYPER)))
+
+
+@pytest.mark.parametrize("shape", [(200, 50, 5), (100, 50, 50)], ids=["200-50-5", "100-50-50"])
+def test_per_coordinate_map_shares_fixed_points(shape):
+    # the package ships the frozen-alpha sweep only; the per-coordinate map,
+    # which refreshes alpha[j] right after mu[j], has the same fixed points but
+    # is a different map away from them
+    cfg = RunConfig(max_iter=500)
+    for r in range(3):
+        ds, pre = _random_instance(*shape, seed=replicate_seed(0, r))
+        mu_star = fixed_point(ds, HYPER, cfg, pre=pre).mu
+        swept = coordinate_seq_sweep(
+            mu_star, inclusion_prob(mu_star, pre.a, HYPER), pre, refresh_hyper=HYPER
+        )
+        assert np.max(np.abs(swept - mu_star)) < 10 * cfg.tol
+        mu = pre.xty / pre.d  # the diagls init, far from the fixed point
+        refreshed = coordinate_seq_sweep(
+            mu, inclusion_prob(mu, pre.a, HYPER), pre, refresh_hyper=HYPER
+        )
+        assert not np.allclose(refreshed, seq_sweep(mu, pre, HYPER))
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -288,8 +288,23 @@ def test_verify_suite_passes_and_writes_csv(tmp_path):
 
     results = verify.run_checks(seed=0, mc_samples=20_000)
     assert all(r.passed for r in results)
-    names = {r.name for r in results}
-    assert {"fd_jacobian_seq", "pinned_seq_vs_textbook_gs", "elbo_mc_loglik"} <= names
+    # `sscavi verify` check names are part of its output format
+    assert [r.name for r in results] == [
+        "seq_sweep_coord_vs_matrix",
+        "par_sweep_coord_vs_matrix",
+        "fd_jacobian_seq",
+        "fd_jacobian_par",
+        "fd_h_sweep_1e-05",
+        "fd_h_sweep_1e-06",
+        "fd_h_sweep_1e-07",
+        "pinned_seq_vs_direct_solve",
+        "pinned_seq_vs_textbook_gs",
+        "pinned_par_vs_textbook_jacobi",
+        "elbo_mc_loglik",
+        "par_radius_similarity",
+        "perturbation_contract_seq",
+        "perturbation_escape_par",
+    ]
 
 
 def test_cmd_verify_exit_codes(tmp_path, monkeypatch):
