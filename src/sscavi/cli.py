@@ -2,7 +2,8 @@
 
 Subcommands: gen-data, run-example, spectral-study, verify, wigner-check.
 Every flag may also be given in a config file (key = value per line, keys
-matching the long flag names); explicit command-line flags win. Exit status:
+matching the long flag names), whose values are held to the same choices;
+explicit command-line flags win. Exit status:
 0 on success; 1 when a verification check fails, on an I/O failure, or on a
 numerical failure (an eigensolver that does not converge, or an overflow in
 the stability analysis); 2 on invalid configuration.
@@ -19,31 +20,28 @@ from . import engines, harness
 from .harness import ConfigError, StudyConfig
 from .model import Hyperparams
 
-_DEFAULTS = {
-    "gen-data": dict(),
-    "run-example": dict(),
-    "spectral-study": dict(),
-    "verify": dict(),
-    "wigner-check": dict(n="1000", p="200", reps="20"),
+# Every flag but --config, in parser order: name -> (default, choices, help).
+# The parser and the config-file reader both take defaults and choices from here.
+_FLAGS = {
+    "n": ("200", None, "sample size (comma list for study grids)"),
+    "p": ("50", None, "dimension (comma list for study grids)"),
+    "s": ("25", None, "active coordinates (comma list for study grids)"),
+    "pi": ("0.5", None, "prior inclusion probability"),
+    "tau": ("1.0", None, "slab precision"),
+    "sigma2": ("1.0", None, "noise variance"),
+    "amplitude": ("1.0", None, "signal amplitude"),
+    "scheme": ("seq", ("seq", "par"), "update scheme"),
+    "init": ("diagls", ("zero", "diagls"), "initialization"),
+    "max_iter": ("500", None, "iteration cap"),
+    "tol": ("1e-8", None, "sup-norm convergence tolerance"),
+    "reps": ("50", None, "replications per grid point"),
+    "seed": ("0", None, "master seed"),
+    "out": ("out", None, "output directory"),
+    "panel": ("both", ("left", "right", "both"), "study panel"),
 }
 
-_COMMON = dict(
-    n="200",
-    p="50",
-    s="25",
-    pi="0.5",
-    tau="1.0",
-    sigma2="1.0",
-    amplitude="1.0",
-    scheme="seq",
-    init="diagls",
-    max_iter="500",
-    tol="1e-8",
-    seed="0",
-    out="out",
-    panel="both",
-    reps="50",
-)
+_COMMANDS = ("gen-data", "run-example", "spectral-study", "verify", "wigner-check")
+_COMMAND_OVERRIDES = {"wigner-check": dict(n="1000", p="200", reps="20")}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,35 +50,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spike-and-slab CAVI experiments and stability studies",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in _DEFAULTS:
+    for command in _COMMANDS:
         cp = sub.add_parser(command)
         cp.add_argument("--config", help="config file (key = value per line)")
-        cp.add_argument("--n", help="sample size (comma list for study grids)")
-        cp.add_argument("--p", help="dimension (comma list for study grids)")
-        cp.add_argument("--s", help="active coordinates (comma list for study grids)")
-        cp.add_argument("--pi", help="prior inclusion probability")
-        cp.add_argument("--tau", help="slab precision")
-        cp.add_argument("--sigma2", help="noise variance")
-        cp.add_argument("--amplitude", help="signal amplitude")
-        cp.add_argument("--scheme", choices=["seq", "par"], help="update scheme")
-        cp.add_argument("--init", choices=["zero", "diagls"], help="initialization")
-        cp.add_argument("--max-iter", dest="max_iter", help="iteration cap")
-        cp.add_argument("--tol", help="sup-norm convergence tolerance")
-        cp.add_argument("--reps", help="replications per grid point")
-        cp.add_argument("--seed", help="master seed")
-        cp.add_argument("--out", help="output directory")
-        cp.add_argument("--panel", choices=["left", "right", "both"], help="study panel")
+        for key, (_, choices, help_text) in _FLAGS.items():
+            cp.add_argument("--" + key.replace("_", "-"), dest=key, choices=choices, help=help_text)
     return parser
 
 
 def _parse_int_list(text: str, name: str):
     try:
-        values = tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError as exc:
         raise ConfigError(f"{name} expects integers, got {text!r}") from exc
-    if not values:
-        raise ConfigError(f"{name} grid must be nonempty")
-    return values
 
 
 def _float(settings, key):
@@ -98,21 +80,25 @@ def _int(settings, key):
 
 
 def _assemble(command: str, args: argparse.Namespace) -> StudyConfig:
-    settings = dict(_COMMON)
-    settings.update(_DEFAULTS[command])
-    known = set(settings)
+    settings = {key: default for key, (default, _, _) in _FLAGS.items()}
+    settings.update(_COMMAND_OVERRIDES.get(command, {}))
     explicit = set()
     if args.config:
         for key, value in harness.parse_config_file(args.config).items():
-            if key not in known:
+            if key not in _FLAGS:
                 raise ConfigError(f"unknown config key {key!r}")
             settings[key] = value
             explicit.add(key)
-    for key in known:
-        value = getattr(args, key, None)
+    for key in _FLAGS:
+        value = getattr(args, key)
         if value is not None:
             settings[key] = value
             explicit.add(key)
+    for key, (_, choices, _) in _FLAGS.items():
+        if choices is not None and settings[key] not in choices:
+            raise ConfigError(
+                f"{key} must be one of {', '.join(choices)}, got {settings[key]!r}"
+            )
 
     try:
         hyper = Hyperparams(

@@ -12,7 +12,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -90,9 +90,11 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, header: Sequence[str], rows) -> None:
+def write_csv(path: str, header: Optional[Sequence[str]], rows) -> None:
+    """Write ``rows`` under a one-line ``header``, or under none when it is None."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+        if header is not None:
+            fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt_value(v) for v in row) + "\n")
 
@@ -125,11 +127,8 @@ def cmd_gen_data(cfg: StudyConfig) -> List[str]:
     paths = []
     columns = {"X.csv": ds.X, "y.csv": ds.y[:, None], "beta.csv": ds.beta_true[:, None]}
     for name, arr in columns.items():
-        path = os.path.join(out, name)
-        with open(path, "w", newline="\n") as fh:
-            for row in arr:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        paths.append(path)
+        paths.append(os.path.join(out, name))
+        write_csv(paths[-1], None, arr)
     return paths
 
 
@@ -230,41 +229,34 @@ def cmd_spectral_study(cfg: StudyConfig):
             GenSpec(n=n, p=p, s=s, amplitude=cfg.amplitude, sigma2=cfg.hyper.sigma2)
     out = _ensure_out(cfg)
     rows = []
-    n_failed = 0
+    groups = []
     for panel, n, p, s in points:
+        # log radii of the converged replicates, for this grid point's boxes
+        log_seq, log_par = [], []
         for r in range(cfg.replications):
             seed = replicate_seed(cfg.master_seed, r)
             res = spectral_replicate(n, p, s, seed, cfg.hyper, cfg.run, cfg.amplitude)
-            if not res["seq_converged"]:
-                n_failed += 1
+            log_rho_seq = math.log(res["rho_seq"]) if res["rho_seq"] > 0 else float("nan")
+            log_rho_par = math.log(res["rho_par"]) if res["rho_par"] > 0 else float("nan")
             rows.append(
                 (
                     panel, n, p, s, r, seed,
-                    res["rho_seq"],
-                    math.log(res["rho_seq"]) if res["rho_seq"] > 0 else float("nan"),
-                    res["rho_par"],
-                    math.log(res["rho_par"]) if res["rho_par"] > 0 else float("nan"),
+                    res["rho_seq"], log_rho_seq, res["rho_par"], log_rho_par,
                     res["seq_converged"],
                     res["assumption1_satisfied"],
                 )
             )
+            if res["seq_converged"]:
+                log_seq.append(log_rho_seq)
+                log_par.append(log_rho_par)
+        tag = f"p={p}" if panel == "left" else f"s={s}"
+        groups += [(f"{panel} {tag} seq", log_seq, 1), (f"{panel} {tag} par", log_par, 0)]
     header = [
         "panel", "n", "p", "s", "replicate", "seed",
         "rho_seq", "log_rho_seq", "rho_par", "log_rho_par",
         "seq_converged", "assumption1_satisfied",
     ]
     write_csv(os.path.join(out, "rho.csv"), header, rows)
-
-    groups = []
-    for panel, n, p, s in points:
-        tag = f"p={p}" if panel == "left" else f"s={s}"
-        for scheme, col, color in (("seq", 7, 1), ("par", 9, 0)):
-            vals = [
-                row[col]
-                for row in rows
-                if row[0] == panel and row[2] == p and row[3] == s and row[10]
-            ]
-            groups.append((f"{panel} {tag} {scheme}", vals, color))
     svgplot.box_plot(
         os.path.join(out, "rho_boxplot.svg"),
         groups,
@@ -272,6 +264,7 @@ def cmd_spectral_study(cfg: StudyConfig):
         xlabel="grid point",
         ylabel="log rho",
     )
+    n_failed = sum(not converged for *_, converged, _ in rows)
     if n_failed:
         print(f"note: {n_failed} replicate(s) did not converge and are excluded from boxplots")
     return rows

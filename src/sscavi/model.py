@@ -177,10 +177,12 @@ def inclusion_prob_grad(mu, a, alpha):
 
 @dataclass
 class VariationalState:
-    """Variational means and the inclusion probabilities derived from them.
+    """Variational means and inclusion probabilities.
 
-    ``alpha`` is never free: construct through :meth:`from_mu` so that it
-    always equals the sigmoid transform of ``mu``.
+    The constructor checks only that both are 1-d of equal length and that
+    every finite ``alpha`` lies in [0, 1]; it does not tie ``alpha`` to
+    ``mu`` (``run(pin_alpha=True)`` returns ``alpha = 1``). :meth:`from_mu`
+    derives ``alpha`` as the sigmoid transform of ``mu``.
     """
 
     mu: np.ndarray

@@ -254,6 +254,35 @@ def test_fixed_point_evaluates_no_elbo(monkeypatch):
     assert np.array_equal(state.mu, trace.final_state.mu)
 
 
+def test_fixed_point_polish(monkeypatch):
+    # every measured fixed point passes the first residual check, so a lagging
+    # parallel residual stands in for one that needs polishing
+    ds, pre = _random_instance(200, 50, 25, seed=0)
+    cfg = RunConfig(max_iter=500)
+    unpolished = fixed_point(ds, HYPER, cfg, pre=pre)
+    once_more = seq_sweep(unpolished.mu, pre, HYPER, alpha_override=unpolished.alpha)
+    calls = []
+
+    def lag_first_call(*args, **kwargs):
+        calls.append(1)
+        return par_sweep(*args, **kwargs) + (1.0 if len(calls) == 1 else 0.0)
+
+    monkeypatch.setattr(engines, "par_sweep", lag_first_call)
+    state = fixed_point(ds, HYPER, cfg, pre=pre)
+    assert len(calls) == 2
+    assert np.array_equal(state.mu, once_more)
+    assert 0 < np.max(np.abs(state.mu - unpolished.mu)) < 10 * cfg.tol
+
+    def lag_always(*args, **kwargs):
+        return par_sweep(*args, **kwargs) + 1.0
+
+    monkeypatch.setattr(engines, "par_sweep", lag_always)
+    with pytest.raises(FixedPointError, match="did not reach the target after polishing") as info:
+        fixed_point(ds, HYPER, cfg, pre=pre)
+    assert info.value.trace.status == "converged"
+    assert np.array_equal(info.value.trace.final_state.mu, unpolished.mu)
+
+
 def test_fixed_point_error_carries_trace():
     ds, pre = _random_instance(100, 50, 50, seed=1)
     with pytest.raises(FixedPointError) as info:

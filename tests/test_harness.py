@@ -283,6 +283,42 @@ def test_cli_rejects_unknown_config_key(tmp_path):
     assert cli.main(["gen-data", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("line", ["scheme = sequential", "init = custom", "panel = top"])
+def test_cli_config_file_held_to_flag_choices(tmp_path, capsys, line):
+    # a config-file value outside a flag's choices is invalid configuration,
+    # not a silent fallback to another scheme
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(line + "\n")
+    out = tmp_path / "ex"
+    assert cli.main(["run-example", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("invalid configuration: ")
+    assert not (out / "trace.csv").exists()
+
+
+def test_cli_defaults_are_study_config_defaults(monkeypatch):
+    # the benchmark builds its default study from StudyConfig; the CLI must
+    # hand over the same configuration when given no flags
+    captured = {}
+
+    def capture(name, result=None):
+        def fake(cfg):
+            captured[name] = cfg
+            return result
+        monkeypatch.setattr(harness, name, fake)
+
+    capture("cmd_spectral_study")
+    capture("cmd_run_example", engines.RunTrace("converged", 0, None))
+    capture("cmd_wigner_check")
+    assert cli.main(["spectral-study"]) == 0
+    assert cli.main(["run-example"]) == 0
+    assert cli.main(["wigner-check"]) == 0
+    assert captured["cmd_spectral_study"] == StudyConfig(out_dir="out", mode="spectral_study")
+    assert captured["cmd_run_example"] == StudyConfig(out_dir="out", mode="run_example")
+    assert captured["cmd_wigner_check"] == StudyConfig(
+        out_dir="out", mode="wigner_check", n=(1000,), p=(200,), replications=20
+    )
+
+
 def test_verify_suite_passes_and_writes_csv(tmp_path):
     from sscavi import verify
 
