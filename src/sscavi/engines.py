@@ -43,7 +43,6 @@ __all__ = [
 
 SEQUENTIAL = "sequential"
 PARALLEL = "parallel"
-_MAX_POLISH = 200
 
 
 @dataclass(frozen=True)
@@ -250,12 +249,11 @@ def fixed_point(
     The frozen-probability sequential sweep runs under :func:`_iterate`'s stop
     rule with no ELBO and no per-iteration state or trace. Both schemes share
     their fixed points, so the returned state must leave each one-sweep map
-    nearly invariant: residuals below ``10 * cfg.tol`` in sup norm. Up to
-    ``_MAX_POLISH`` polishing sweeps tighten the parallel residual when needed.
-    Failure to converge, or persistent failure to polish, raises
-    :class:`FixedPointError`; its trace carries the status, the iteration
-    count and the final iterate of the sequential run, and empty
-    per-iteration lists.
+    nearly invariant: residuals below ``10 * cfg.tol`` in sup norm, checked
+    once at the converged iterate. Failure to converge, or a residual that
+    misses the target, raises :class:`FixedPointError`; its trace carries the
+    status, the iteration count and the final iterate of the sequential run,
+    and empty per-iteration lists.
     """
     if pre is None:
         pre = precompute(dataset, hyper)
@@ -268,23 +266,17 @@ def fixed_point(
 
     mu = _initial_mu(cfg, pre)
     status, n_iter, mu, alpha = _iterate(mu, alpha_of(mu), sweep, alpha_of, cfg)
+    trace = RunTrace(status, n_iter, VariationalState(mu, alpha))
     if status != "converged":
-        raise FixedPointError(
-            f"sequential iteration did not converge (status {status})",
-            RunTrace(status, n_iter, VariationalState(mu, alpha)),
-        )
+        raise FixedPointError(f"sequential iteration did not converge (status {status})", trace)
 
-    mu_run, alpha_run = mu, alpha
     target = 10.0 * cfg.tol
-    for _ in range(_MAX_POLISH):
-        swept = sweep(mu, alpha)
-        seq_res = float(np.max(np.abs(swept - mu)))
-        par_res = float(np.max(np.abs(par_sweep(mu, pre, hyper, alpha_override=alpha) - mu)))
-        if seq_res < target and par_res < target:
-            return VariationalState(mu, alpha)
-        mu = swept
-        alpha = alpha_of(mu)
-    raise FixedPointError(
-        "fixed-point residuals did not reach the target after polishing",
-        RunTrace(status, n_iter, VariationalState(mu_run, alpha_run)),
-    )
+    seq_res = float(np.max(np.abs(sweep(mu, alpha) - mu)))
+    par_res = float(np.max(np.abs(par_sweep(mu, pre, hyper, alpha_override=alpha) - mu)))
+    if not (seq_res < target and par_res < target):
+        raise FixedPointError(
+            f"fixed-point residuals (sequential {seq_res:.3g}, parallel {par_res:.3g}) "
+            f"missed the target {target:.3g}",
+            trace,
+        )
+    return VariationalState(mu, alpha)

@@ -3,10 +3,21 @@
 Analytic Jacobians of the one-sweep maps, spectral radii, the quadratic-form
 contraction check (Assumption 1), and the normalized off-diagonal Gram
 statistic that drives parallel instability under Gaussian designs. The
-parallel radius and the contraction check run on symmetric operators
-(``eigvalsh``, generalized and subset forms); only the sequential radius needs
-the nonsymmetric eigensolver, and an eigensolver that fails raises
-``LinAlgError``. The independent oracles for these operators live in
+parallel radius and the contraction check run on symmetric operators; only
+the sequential radius needs a nonsymmetric eigensolver. Each radius needs
+only the eigenvalue of largest modulus. From ``_KRYLOV_MIN_P`` = 100
+coordinates up it comes from ARPACK (``scipy.sparse.linalg``: k = 1,
+which = "LM", v0 = ones, tol = 1e-13, ncv = 20, at most 100 restarts):
+Arnoldi (``eigs``) for the sequential radius, Lanczos (``eigsh``) for the
+parallel one. Below that size, and whenever ARPACK raises ``ArpackError``
+(no convergence, or a zero Krylov vector for a zero operator), the dense
+solver of the same matrix gives the radius: ``eigvals`` or ``eigvalsh``.
+The crossover, measured with one BLAS thread as the median time of both
+radii together: dense 2.0 ms against ARPACK 2.1 ms at p = 75, and 4.2 ms
+against 2.2 ms at p = 100 (Arnoldi alone wins from p = 75, Lanczos alone
+from about p = 150). A dense eigensolver that fails raises ``LinAlgError``.
+The contraction check stays dense (``eigvalsh``, generalized and subset
+forms). The independent oracles for these operators live in
 :mod:`sscavi.verify`.
 """
 
@@ -17,6 +28,7 @@ from typing import List, NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigvalsh, solve_triangular
+from scipy.linalg.blas import dsymv
 
 from . import engines
 from .model import Hyperparams, Precomputed, inclusion_prob, inclusion_prob_grad
@@ -37,6 +49,8 @@ __all__ = [
 _COUPLING_EPS = 1e-14
 _ALPHA_CLAMP = 1e-12
 _RESIDUAL_TOL = 1e-6
+# ARPACK radii from this size up, the dense eigensolvers below it (module docstring)
+_KRYLOV_MIN_P = 100
 
 
 def _finite_mean(mu_star) -> np.ndarray:
@@ -92,13 +106,38 @@ def jacobian_par(
     return -(offdiag_full * (alpha + grad * mu_star)[None, :]) / pre.d[:, None]
 
 
+def _krylov_radius(matvec, p: int, symmetric: bool):
+    """Largest eigenvalue modulus of the p x p operator ``matvec`` by ARPACK.
+
+    Lanczos (``eigsh``) when ``symmetric``, else Arnoldi (``eigs``), with the
+    fixed parameters of the module docstring, so a rerun repeats the result.
+    Returns None when ARPACK raises ``ArpackError``, which includes
+    ``ArpackNoConvergence``: the caller then solves the same matrix densely.
+    """
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, eigsh
+
+    solve = eigsh if symmetric else eigs
+    try:
+        # maxiter counts restarts: converged fixed points up to p = 1000 needed at most 17
+        top = solve(
+            LinearOperator((p, p), matvec=matvec, dtype=np.float64),
+            k=1, which="LM", v0=np.ones(p), ncv=20, tol=1e-13, maxiter=100,
+            return_eigenvectors=False,
+        )
+    except ArpackError:
+        return None
+    return float(np.max(np.abs(top)))
+
+
 def _par_radius(mu_star, pre: Precomputed, hyper: Hyperparams) -> float:
     """Spectral radius of :func:`jacobian_par` from a symmetric eigenproblem.
 
     With w = alpha + alpha' * mu = alpha (1 + (1 - alpha) a mu^2) >= 0 and
     R = diag(sqrt(w / d)), J = -D^{-1} (L + L^T) diag(w) has the eigenvalues of
     -R (L + L^T) R, since eig(XY) = eig(YX) (also where some w_j = 0). Only the
-    stored lower triangle is scaled and handed to ``eigvalsh``.
+    stored lower triangle is scaled. From ``_KRYLOV_MIN_P`` coordinates up,
+    Lanczos applies it with ``dsymv``; below that size, or when ARPACK fails,
+    ``eigvalsh`` solves it.
     """
     mu_star = np.asarray(mu_star, dtype=np.float64)
     alpha, grad = _alpha_and_grad(mu_star, pre, hyper, None)
@@ -106,20 +145,31 @@ def _par_radius(mu_star, pre: Precomputed, hyper: Hyperparams) -> float:
     sym_lower = pre.xtx_lower * np.outer(r, r)
     if not np.all(np.isfinite(sym_lower)):
         raise ValueError("spectral_radius expects finite entries")
+    if pre.p >= _KRYLOV_MIN_P:
+        # the stored triangle, read as the upper triangle of its Fortran-ordered transpose
+        rho = _krylov_radius(lambda v: dsymv(1.0, sym_lower.T, v, lower=0), pre.p, True)
+        if rho is not None:
+            return rho
     evals = eigvalsh(sym_lower, lower=True, overwrite_a=True, check_finite=False)
     return float(np.max(np.abs(evals)))
 
 
 def spectral_radius(jac: np.ndarray) -> float:
-    """Largest eigenvalue modulus, via the dense nonsymmetric QR eigensolver.
+    """Largest eigenvalue modulus of a square matrix.
 
-    An eigensolver that fails to converge raises ``LinAlgError``.
+    From ``_KRYLOV_MIN_P`` rows up, Arnoldi (ARPACK ``eigs``) finds it; below
+    that size, or when ARPACK fails, the dense nonsymmetric QR eigensolver
+    does. A dense eigensolver that fails to converge raises ``LinAlgError``.
     """
     jac = np.asarray(jac, dtype=np.float64)
     if jac.ndim != 2 or jac.shape[0] != jac.shape[1]:
         raise ValueError("spectral_radius expects a square matrix")
     if not np.all(np.isfinite(jac)):
         raise ValueError("spectral_radius expects finite entries")
+    if jac.shape[0] >= _KRYLOV_MIN_P:
+        rho = _krylov_radius(jac.dot, jac.shape[0], False)
+        if rho is not None:
+            return rho
     return float(np.max(np.abs(np.linalg.eigvals(jac))))
 
 

@@ -6,8 +6,9 @@ matrix-vector product of the production sweeps, analytic Jacobians
 against central differences, pinned sweeps against textbook splitting
 iterations and a direct solve, the closed-form expected log likelihood
 against Monte Carlo, the symmetric parallel radius against the nonsymmetric
-eigensolver on the Jacobian, the contraction check against its defining
-dense formulas, and the spectral radii against perturbation orbits. The
+eigensolver on the Jacobian, the ARPACK radii of wide designs against full
+dense eigensolves, the contraction check against its defining dense
+formulas, and the spectral radii against perturbation orbits. The
 per-coordinate sequential map, which the package does not ship, is kept here
 as a reference whose fixed points the tests hold to the production sweep's.
 No production code path uses these oracles.
@@ -26,6 +27,7 @@ from .model import (
     VariationalState,
     expected_loglik,
     inclusion_prob,
+    inclusion_prob_grad,
     precompute,
 )
 from .synth import GenSpec, make_dataset
@@ -187,6 +189,22 @@ def perturbation_decay(
     if rho > 1.05:
         return bool(np.any(max_dists > 10.0 * radius))
     return True
+
+
+def dense_radii(mu_star, pre, hyper: Hyperparams):
+    """(rho_seq, rho_par) from full dense eigensolves, whatever the size.
+
+    ``eigvals`` on :func:`stability.jacobian_seq`, and ``eigvalsh`` on the
+    full symmetric -R (L + L^T) R, R = diag(sqrt((alpha + alpha' * mu) / d)),
+    which has the eigenvalues of the parallel Jacobian. The oracle for the
+    ARPACK radii that :func:`stability.analyze_stability` uses on wide designs.
+    """
+    mu_star = np.asarray(mu_star, dtype=np.float64)
+    rho_seq = float(np.max(np.abs(np.linalg.eigvals(stability.jacobian_seq(mu_star, pre, hyper)))))
+    alpha = inclusion_prob(mu_star, pre.a, hyper)
+    r = np.sqrt((alpha + inclusion_prob_grad(mu_star, pre.a, alpha) * mu_star) / pre.d)
+    sym = (pre.xtx_lower + pre.xtx_lower.T) * np.outer(r, r)
+    return rho_seq, float(np.max(np.abs(np.linalg.eigvalsh(sym))))
 
 
 class DenseAssumption1(NamedTuple):
@@ -385,4 +403,16 @@ def run_checks(
     results.append(
         CheckResult("perturbation_escape_par", 1.0 if escape_ok else 0.0, 0.5, escape_ok)
     )
+
+    note("Krylov radii")
+    # p = 200 is above stability._KRYLOV_MIN_P, so the study's radii come from ARPACK
+    ds_wide = make_dataset(GenSpec(n=400, p=200, s=100, seed=seed + 13))
+    pre_wide = precompute(ds_wide, hyper)
+    state_wide = engines.fixed_point(ds_wide, hyper, engines.RunConfig(), pre=pre_wide)
+    report = stability.analyze_stability(state_wide.mu, pre_wide, hyper)
+    dense_seq, dense_par = dense_radii(state_wide.mu, pre_wide, hyper)
+    krylov_err = max(
+        abs(report.rho_seq - dense_seq) / dense_seq, abs(report.rho_par - dense_par) / dense_par
+    )
+    results.append(CheckResult("krylov_radii_vs_dense", krylov_err, 1e-12, krylov_err < 1e-12))
     return results

@@ -340,6 +340,7 @@ def test_verify_suite_passes_and_writes_csv(tmp_path):
         "par_radius_similarity",
         "perturbation_contract_seq",
         "perturbation_escape_par",
+        "krylov_radii_vs_dense",
     ]
 
 

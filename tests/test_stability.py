@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sscavi import engines
+from sscavi import cli, engines, stability
 from sscavi.model import Dataset, Hyperparams, inclusion_prob, precompute
 from sscavi.stability import (
     _par_radius,
@@ -19,6 +19,7 @@ from sscavi.stability import (
 from sscavi.synth import GenSpec, make_dataset, replicate_seed
 from sscavi.verify import (
     dense_assumption1,
+    dense_radii,
     fd_jacobian,
     gelfand_spectral_radius,
     perturbation_decay,
@@ -113,6 +114,76 @@ def test_spectral_radius_raises_when_eigensolver_fails(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", raising_eigvals)
     with pytest.raises(np.linalg.LinAlgError, match="no convergence"):
         spectral_radius(np.diag([0.5, -0.25]))
+
+
+@pytest.mark.parametrize(
+    "n,p,s,seed",
+    [(2 * stability._KRYLOV_MIN_P + 20, stability._KRYLOV_MIN_P + 10, 55, seed) for seed in (0, 1, 2)]
+    + [(800, 400, 200, seed) for seed in (0, 1)],
+)
+def test_krylov_radii_match_dense_solvers(n, p, s, seed):
+    # above the crossover both radii come from ARPACK; the dense solvers are the oracle
+    ds = make_dataset(GenSpec(n=n, p=p, s=s, seed=replicate_seed(11, seed)))
+    pre = precompute(ds, HYPER)
+    state = engines.fixed_point(ds, HYPER, engines.RunConfig(max_iter=500), pre=pre)
+    report = analyze_stability(state.mu, pre, HYPER)
+    dense_seq, dense_par = dense_radii(state.mu, pre, HYPER)
+    assert abs(report.rho_seq - dense_seq) <= 1e-12 * dense_seq
+    assert abs(report.rho_par - dense_par) <= 1e-12 * dense_par
+
+
+def test_krylov_degenerate_matrices_return_dense_result():
+    p = 400
+    strict = np.tril(np.random.default_rng(2).standard_normal((p, p)), k=-1)
+    # a zero operator makes ARPACK stop on a zero Krylov vector (error -9); a
+    # nilpotent one never converges; both fall back to the dense solve
+    for mat in (np.zeros((p, p)), strict):
+        assert spectral_radius(mat) == 0.0
+    # a decoupled design: both Jacobians vanish
+    X = np.vstack([2.0 * np.eye(p), np.zeros((3, p))])
+    pre = precompute(Dataset(X=X, y=np.arange(p + 3, dtype=float) / p), HYPER)
+    mu = pre.xty / pre.d
+    assert _par_radius(mu, pre, HYPER) == 0.0
+    assert analyze_stability(mu, pre, HYPER).rho_seq == 0.0
+
+
+def test_krylov_failure_falls_back_to_dense(monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    ds, pre, state = _converged_instance(n=800, p=400, s=200, seed=3)
+    jac = jacobian_seq(state.mu, pre, HYPER)
+    monkeypatch.setattr(stability, "_KRYLOV_MIN_P", 10**9)
+    dense_seq, dense_par = spectral_radius(jac), _par_radius(state.mu, pre, HYPER)
+    monkeypatch.undo()
+
+    calls = []
+
+    def no_convergence(*_args, **_kwargs):
+        calls.append(1)
+        raise sla.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty(0))
+
+    monkeypatch.setattr(sla, "eigs", no_convergence)
+    monkeypatch.setattr(sla, "eigsh", no_convergence)
+    assert spectral_radius(jac) == dense_seq
+    assert _par_radius(state.mu, pre, HYPER) == dense_par
+    assert len(calls) == 2
+
+    def raising_eigvals(_):
+        raise np.linalg.LinAlgError("no convergence")
+
+    # when the dense fallback fails too, the failure is the dense solver's
+    monkeypatch.setattr(np.linalg, "eigvals", raising_eigvals)
+    with pytest.raises(np.linalg.LinAlgError, match="no convergence"):
+        spectral_radius(jac)
+
+
+def test_default_study_stays_on_dense_path(tmp_path, monkeypatch):
+    # the default grids (p <= 50) sit below the crossover: rho.csv is the dense path's, bytes and all
+    assert cli.main(["spectral-study", "--reps", "2", "--out", str(tmp_path / "auto")]) == 0
+    monkeypatch.setattr(stability, "_KRYLOV_MIN_P", 10**9)
+    assert cli.main(["spectral-study", "--reps", "2", "--out", str(tmp_path / "dense")]) == 0
+    auto = (tmp_path / "auto" / "rho.csv").read_bytes()
+    assert auto == (tmp_path / "dense" / "rho.csv").read_bytes()
 
 
 def test_fd_jacobian_recovers_linear_map():
