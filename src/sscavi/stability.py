@@ -100,7 +100,7 @@ def jacobian_par(
     Closed form: -D^{-1} (L + L^T) diag(alpha + alpha' * mu), L the strict
     lower Gram triangle.
     """
-    mu_star = np.asarray(mu_star, dtype=np.float64)
+    mu_star = _finite_mean(mu_star)
     alpha, grad = _alpha_and_grad(mu_star, pre, hyper, alpha_override)
     offdiag_full = pre.xtx_lower + pre.xtx_lower.T
     return -(offdiag_full * (alpha + grad * mu_star)[None, :]) / pre.d[:, None]

@@ -1,12 +1,14 @@
 """Engine tests: sweep semantics, dual forms, degeneracies, driver behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sscavi import engines
+from sscavi import cli, engines
 from sscavi.engines import (
     FixedPointError,
     RunConfig,
@@ -108,10 +110,7 @@ def sweep_inputs(draw):
     return Dataset(X=X, y=y), mu, alpha
 
 
-@given(sweep_inputs())
-@settings(max_examples=300, deadline=None)
-def test_seq_sweep_matches_coordinate_loop(inputs):
-    ds, mu, alpha_override = inputs
+def _assert_matches_coordinate_loop(ds, mu, alpha_override):
     pre = precompute(ds, HYPER)
     alpha = inclusion_prob(mu, pre.a, HYPER) if alpha_override is None else alpha_override
     expected = coordinate_seq_sweep(mu, alpha, pre)
@@ -120,13 +119,73 @@ def test_seq_sweep_matches_coordinate_loop(inputs):
     assert np.max(np.abs(got - expected)) <= 1e-12 * scale
 
 
+@given(sweep_inputs())
+@settings(max_examples=300, deadline=None)
+def test_seq_sweep_matches_coordinate_loop(inputs):
+    _assert_matches_coordinate_loop(*inputs)
+
+
+@st.composite
+def blocked_sweep_inputs(draw):
+    """Like :func:`sweep_inputs`, but p sits on or across the blocked sweep's
+    block boundaries (one, two and four blocks of 64), with n below and above
+    p; the entries come from a drawn seed, so the arrays stay cheap to draw."""
+    p = draw(st.sampled_from([63, 64, 65, 128, 129, 200]))
+    n = draw(st.sampled_from([p // 2, 2 * p]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    X = rng.standard_normal((n, p))
+    zero_col = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=p - 1)))
+    if zero_col is not None:
+        X[:, zero_col] = 0.0
+    mu = 3.0 * rng.standard_normal(p)
+    alpha = None
+    if draw(st.booleans()):
+        alpha = rng.random(p)
+        alpha[rng.random(p) < 0.25] = 0.0
+        alpha[rng.random(p) < 0.25] = 1.0
+    return Dataset(X=X, y=rng.standard_normal(n)), mu, alpha
+
+
+@given(blocked_sweep_inputs())
+@settings(max_examples=40, deadline=None)
+def test_blocked_seq_sweep_matches_coordinate_loop(inputs):
+    _assert_matches_coordinate_loop(*inputs)
+
+
 def test_sweeps_propagate_nonfinite():
-    ds = make_dataset(GenSpec(n=80, p=6, s=3, seed=2))
+    # at p = 150 the sequential sweep runs three blocks: a NaN in the first
+    # block and one in the last must both reach the output
+    for p, nan_at in ((6, 0), (150, 3), (150, 140)):
+        ds = make_dataset(GenSpec(n=80, p=p, s=3, seed=2))
+        pre = precompute(ds, HYPER)
+        mu = np.random.default_rng(2).standard_normal(p)
+        mu[nan_at] = np.nan
+        for sweep in (seq_sweep, par_sweep):
+            assert np.any(~np.isfinite(sweep(mu, pre, HYPER)))
+
+
+def test_seq_sweep_allocates_no_square_system():
+    # the blocked sweep writes one 64 x 64 block at a time; building the whole
+    # p x p system, as a single solve must, peaks at 8 MB here
+    ds = make_dataset(GenSpec(n=50, p=1000, s=10, seed=4))
     pre = precompute(ds, HYPER)
-    mu = np.random.default_rng(2).standard_normal(6)
-    mu[0] = np.nan
-    for sweep in (seq_sweep, par_sweep):
-        assert np.any(~np.isfinite(sweep(mu, pre, HYPER)))
+    mu = pre.xty / pre.d
+    tracemalloc.start()
+    try:
+        seq_sweep(mu, pre, HYPER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_default_study_is_single_block(tmp_path, monkeypatch):
+    # the default grids (p <= 50) fit one block, so rho.csv is the single solve's, bytes and all
+    assert cli.main(["spectral-study", "--reps", "2", "--out", str(tmp_path / "auto")]) == 0
+    monkeypatch.setattr(engines, "_BLOCK", 10**9)
+    assert cli.main(["spectral-study", "--reps", "2", "--out", str(tmp_path / "whole")]) == 0
+    auto = (tmp_path / "auto" / "rho.csv").read_bytes()
+    assert auto == (tmp_path / "whole" / "rho.csv").read_bytes()
 
 
 @pytest.mark.parametrize("shape", [(200, 50, 5), (100, 50, 50)], ids=["200-50-5", "100-50-50"])

@@ -341,6 +341,7 @@ def test_verify_suite_passes_and_writes_csv(tmp_path):
         "perturbation_contract_seq",
         "perturbation_escape_par",
         "krylov_radii_vs_dense",
+        "blocked_seq_sweep_vs_coordinate",
     ]
 
 

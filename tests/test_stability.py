@@ -249,7 +249,8 @@ def test_par_radius_rejects_nonfinite_mean():
     ds, pre, state = _converged_instance()
     mu = state.mu.copy()
     mu[2] = np.nan
-    for entry in (_par_radius, check_assumption1, analyze_stability, jacobian_seq):
+    entries = (_par_radius, check_assumption1, analyze_stability, jacobian_seq, jacobian_par)
+    for entry in entries:
         with pytest.raises(ValueError, match="finite"):
             entry(mu, pre, HYPER)
 
