@@ -10,18 +10,20 @@ fixed points but is not shipped; :func:`sscavi.verify.coordinate_seq_sweep` is
 its reference. Both schemes become linear splitting iterations for the ridge
 system when the inclusion probabilities are pinned to one.
 
-Up to ``_BLOCK`` = 64 coordinates the sequential sweep builds T whole and makes
-one ``dtrsv`` call. Every study at the CLI defaults (p <= 50) takes only this
-path, whose calls are those of the unblocked sweep, so its outputs are byte for
-byte the unblocked sweep's. Above 64 coordinates the solve is a forward
-substitution by blocks of 64 on the stored Gram triangle: one GEMV over the
-means already solved, then ``dtrsv`` on the block's own 64 x 64 diagonal block
-of T. No p x p array is written per sweep. Measured at a fixed point with
-one OpenBLAS thread on a shared 2-vCPU x86_64 machine, the median sweep took
-0.96 ms against 1.71-1.77 ms for the whole-system solve at p = 1000, and its
-peak allocation fell from 8.1 MB to 124 KB. At p = 200 (four blocks) it took
-0.086 ms against 0.052 ms: there the per-block overhead, about 20 us a block,
-outweighs the column scaling saved.
+The sequential sweep is a forward substitution by blocks of ``_BLOCK`` = 256
+coordinates on the stored Gram triangle: every block after the first
+subtracts one GEMV over the means already solved, and each block solves its
+own diagonal block of T with ``dtrsv``, so no p x p array is written per
+sweep above 256 coordinates. Up to 256 coordinates there is one block, whose
+``dtrsv`` gets the whole T and right-hand side, so the sweep returns one
+whole-system solve bit for bit: the studies at the CLI defaults (p <= 50)
+and the p = 200 ``verify`` fixed points are unchanged by the blocking.
+Blocks of 64, 128, 192, 256 and 512 were timed at fixed points with one
+OpenBLAS thread on a shared 2-vCPU x86_64 machine. At p = 1000 the sweep
+took 1.09 ms with 256 against 2.00 ms as one solve, and its peak allocation
+fell from 8.1 MB to 0.67 MB. Blocks of 64 or 128 were 12-18% faster than
+256 at p = 400 and 1000, but blocks of 64 were slower than one solve at
+p = 200 (0.079 against 0.063 ms); ``BENCH_12.json`` has the table.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ __all__ = [
 SEQUENTIAL = "sequential"
 PARALLEL = "parallel"
 # coordinates per block of the sequential sweep's forward substitution (module docstring)
-_BLOCK = 64
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -135,17 +137,14 @@ def _resolve_alpha(mu, pre, hyper, alpha_override):
     return inclusion_prob(mu, pre.a, hyper)
 
 
-def seq_sweep_system(alpha, pre: Precomputed, block: Optional[slice] = None) -> np.ndarray:
+def seq_sweep_system(alpha, pre: Precomputed, block: slice) -> np.ndarray:
     """The diagonal ``block`` of the sequential sweep's system T = D + L diag(alpha).
 
-    L is the strict lower Gram triangle, so T is lower triangular. Without
-    ``block`` the whole p x p system is built, with no slicing.
+    L is the strict lower Gram triangle, so T is lower triangular;
+    ``slice(None)`` gives the whole p x p system.
     """
-    low, d = pre.xtx_lower, pre.d
-    if block is not None:
-        low, alpha, d = low[block, block], alpha[block], d[block]
-    sweep_sys = low * alpha
-    np.fill_diagonal(sweep_sys, d)
+    sweep_sys = pre.xtx_lower[block, block] * alpha[block]
+    np.fill_diagonal(sweep_sys, pre.d[block])
     return sweep_sys
 
 
@@ -155,31 +154,28 @@ def seq_sweep(mu, pre: Precomputed, hyper: Hyperparams, alpha_override=None) -> 
     The probabilities stay frozen at their entry values, so the sweep is one
     Gauss-Seidel step: it solves the lower-triangular system
     ``(D + L diag(alpha)) mu' = xty - L^T (alpha * mu)``, L the strict lower
-    Gram triangle. Up to ``_BLOCK`` coordinates it builds the whole system
-    and makes one ``dtrsv`` call. Above that it substitutes forward by blocks
-    of ``_BLOCK`` coordinates: block k subtracts ``L[k, :k] (alpha * mu')[:k]``
-    (one GEMV on the means already solved), builds only its own diagonal
-    block of the system and solves it in place with ``dtrsv``. No p x p array
-    is written. ``alpha_override`` pins the probabilities explicitly (e.g.
+    Gram triangle, by blocks of ``_BLOCK`` coordinates: block k subtracts
+    ``L[k, :k] (alpha * mu')[:k]`` (one GEMV on the means already solved;
+    the first block has none), builds only its own diagonal block of the
+    system and solves it with ``dtrsv``. No p x p array is written above
+    ``_BLOCK`` coordinates; up to that, the one block is the whole system.
+    ``alpha_override`` pins the probabilities explicitly (e.g.
     all ones for the ridge degeneracy). Non-finite inputs give non-finite
     outputs rather than an exception, so :func:`run` can report them as
     divergence.
     """
     mu = np.ascontiguousarray(mu, dtype=np.float64)
     alpha = _resolve_alpha(mu, pre, hyper, alpha_override)
-    scaled = alpha * mu
-    rhs = pre.xty - pre.xtx_lower.T @ scaled
-    # each system's transpose is a Fortran-ordered upper triangle: solve it transposed, no copy
-    if pre.p <= _BLOCK:
-        return dtrsv(seq_sweep_system(alpha, pre).T, rhs, lower=0, trans=1)
+    rhs = pre.xty - pre.xtx_lower.T @ (alpha * mu)
     low = pre.xtx_lower
     for start in range(0, pre.p, _BLOCK):
         block = slice(start, start + _BLOCK)
-        # rhs[:start] already holds the new means and scaled[:start] alpha times them
-        solved = rhs[block]
-        solved -= low[block, :start] @ scaled[:start]
-        dtrsv(seq_sweep_system(alpha, pre, block).T, solved, lower=0, trans=1, overwrite_x=1)
-        np.multiply(alpha[block], solved, out=scaled[block])
+        # rhs[:start] already holds the new means; the first block has none, and
+        # skipping its empty GEMV saves about 4 us of a 15 us sweep at p = 50
+        if start:
+            rhs[block] -= low[block, :start] @ (alpha[:start] * rhs[:start])
+        # the block's transpose is a Fortran-ordered upper triangle: solve it transposed, no copy
+        rhs[block] = dtrsv(seq_sweep_system(alpha, pre, block).T, rhs[block], lower=0, trans=1)
     return rhs
 
 

@@ -89,7 +89,7 @@ def jacobian_seq(
     swept = engines.seq_sweep(mu_star, pre, hyper, alpha_override=alpha)
     low = pre.xtx_lower
     rhs = low.T * (alpha + grad * mu_star) + low * (grad * swept)
-    return -solve_triangular(engines.seq_sweep_system(alpha, pre), rhs, lower=True)
+    return -solve_triangular(engines.seq_sweep_system(alpha, pre, slice(None)), rhs, lower=True)
 
 
 def jacobian_par(

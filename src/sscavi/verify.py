@@ -1,9 +1,8 @@
 """Independent oracles and the cross-check suite behind `sscavi verify`.
 
 Every check pairs a production code path with an independent route to the
-same quantity: coordinate loops against the whole and blocked triangular
-solves and the symmetric matrix-vector product of the production sweeps,
-analytic Jacobians
+same quantity: coordinate loops against the blocked triangular solve and the
+symmetric matrix-vector product of the production sweeps, analytic Jacobians
 against central differences, pinned sweeps against textbook splitting
 iterations and a direct solve, the closed-form expected log likelihood
 against Monte Carlo, the symmetric parallel radius against the nonsymmetric
@@ -418,10 +417,10 @@ def run_checks(
     results.append(CheckResult("krylov_radii_vs_dense", krylov_err, 1e-12, krylov_err < 1e-12))
 
     note("blocked sequential sweep")
-    # p = 200 is four blocks of engines._BLOCK = 64 coordinates, the last one partial
-    ds_block = make_dataset(GenSpec(n=400, p=200, s=100, seed=seed + 17))
+    # p = 600 is three blocks of engines._BLOCK = 256 coordinates, the last one partial
+    ds_block = make_dataset(GenSpec(n=1200, p=600, s=300, seed=seed + 17))
     pre_block = precompute(ds_block, hyper)
-    mu = np.random.default_rng(seed + 17).standard_normal(200)
+    mu = np.random.default_rng(seed + 17).standard_normal(600)
     expected = coordinate_seq_sweep(mu, inclusion_prob(mu, pre_block.a, hyper), pre_block)
     block_err = float(
         np.max(np.abs(engines.seq_sweep(mu, pre_block, hyper) - expected))

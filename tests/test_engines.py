@@ -1,12 +1,14 @@
 """Engine tests: sweep semantics, dual forms, degeneracies, driver behavior."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg.blas import dtrsv
 
 from sscavi import cli, engines
 from sscavi.engines import (
@@ -127,10 +129,12 @@ def test_seq_sweep_matches_coordinate_loop(inputs):
 
 @st.composite
 def blocked_sweep_inputs(draw):
-    """Like :func:`sweep_inputs`, but p sits on or across the blocked sweep's
-    block boundaries (one, two and four blocks of 64), with n below and above
-    p; the entries come from a drawn seed, so the arrays stay cheap to draw."""
-    p = draw(st.sampled_from([63, 64, 65, 128, 129, 200]))
+    """Like :func:`sweep_inputs`, but for a drawn block size, 64 or the
+    shipped ``engines._BLOCK``, p sits on or across its boundaries (one, two
+    and four blocks, the last one partial), with n below and above p; the
+    entries come from a drawn seed, so the arrays stay cheap to draw."""
+    block = draw(st.sampled_from([64, engines._BLOCK]))
+    p = draw(st.sampled_from([block - 1, block, block + 1, 2 * block, 2 * block + 1, 3 * block + 8]))
     n = draw(st.sampled_from([p // 2, 2 * p]))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     X = rng.standard_normal((n, p))
@@ -143,19 +147,22 @@ def blocked_sweep_inputs(draw):
         alpha = rng.random(p)
         alpha[rng.random(p) < 0.25] = 0.0
         alpha[rng.random(p) < 0.25] = 1.0
-    return Dataset(X=X, y=rng.standard_normal(n)), mu, alpha
+    return block, (Dataset(X=X, y=rng.standard_normal(n)), mu, alpha)
 
 
 @given(blocked_sweep_inputs())
 @settings(max_examples=40, deadline=None)
-def test_blocked_seq_sweep_matches_coordinate_loop(inputs):
-    _assert_matches_coordinate_loop(*inputs)
+def test_blocked_seq_sweep_matches_coordinate_loop(drawn):
+    block, inputs = drawn
+    with mock.patch.object(engines, "_BLOCK", block):
+        _assert_matches_coordinate_loop(*inputs)
 
 
 def test_sweeps_propagate_nonfinite():
-    # at p = 150 the sequential sweep runs three blocks: a NaN in the first
-    # block and one in the last must both reach the output
-    for p, nan_at in ((6, 0), (150, 3), (150, 140)):
+    # at p = _BLOCK + 44 the sequential sweep runs two blocks: a NaN in the
+    # first block and one in the last must both reach the output
+    wide = engines._BLOCK + 44
+    for p, nan_at in ((6, 0), (wide, 3), (wide, wide - 10)):
         ds = make_dataset(GenSpec(n=80, p=p, s=3, seed=2))
         pre = precompute(ds, HYPER)
         mu = np.random.default_rng(2).standard_normal(p)
@@ -165,8 +172,8 @@ def test_sweeps_propagate_nonfinite():
 
 
 def test_seq_sweep_allocates_no_square_system():
-    # the blocked sweep writes one 64 x 64 block at a time; building the whole
-    # p x p system, as a single solve must, peaks at 8 MB here
+    # the blocked sweep writes one 256 x 256 block (512 KB) at a time; building
+    # the whole p x p system, as a single solve must, peaks at 8 MB here
     ds = make_dataset(GenSpec(n=50, p=1000, s=10, seed=4))
     pre = precompute(ds, HYPER)
     mu = pre.xty / pre.d
@@ -179,13 +186,21 @@ def test_seq_sweep_allocates_no_square_system():
     assert peak < 1_000_000
 
 
-def test_default_study_is_single_block(tmp_path, monkeypatch):
-    # the default grids (p <= 50) fit one block, so rho.csv is the single solve's, bytes and all
-    assert cli.main(["spectral-study", "--reps", "2", "--out", str(tmp_path / "auto")]) == 0
-    monkeypatch.setattr(engines, "_BLOCK", 10**9)
+def _whole_system_sweep(mu, pre, hyper, alpha_override=None):
+    """The unblocked sequential sweep: one ``dtrsv`` on the whole p x p system."""
+    mu = np.ascontiguousarray(mu, dtype=np.float64)
+    alpha = engines._resolve_alpha(mu, pre, hyper, alpha_override)
+    rhs = pre.xty - pre.xtx_lower.T @ (alpha * mu)
+    return dtrsv(engines.seq_sweep_system(alpha, pre, slice(None)).T, rhs, lower=0, trans=1)
+
+
+def test_default_study_matches_whole_system_sweep(tmp_path, monkeypatch):
+    # the default grids (p <= 50) fit one block, so rho.csv is the unblocked sweep's, bytes and all
+    assert cli.main(["spectral-study", "--reps", "2", "--out", str(tmp_path / "blocked")]) == 0
+    monkeypatch.setattr(engines, "seq_sweep", _whole_system_sweep)
     assert cli.main(["spectral-study", "--reps", "2", "--out", str(tmp_path / "whole")]) == 0
-    auto = (tmp_path / "auto" / "rho.csv").read_bytes()
-    assert auto == (tmp_path / "whole" / "rho.csv").read_bytes()
+    blocked = (tmp_path / "blocked" / "rho.csv").read_bytes()
+    assert blocked == (tmp_path / "whole" / "rho.csv").read_bytes()
 
 
 @pytest.mark.parametrize("shape", [(200, 50, 5), (100, 50, 50)], ids=["200-50-5", "100-50-50"])
