@@ -10,20 +10,19 @@ fixed points but is not shipped; :func:`sscavi.verify.coordinate_seq_sweep` is
 its reference. Both schemes become linear splitting iterations for the ridge
 system when the inclusion probabilities are pinned to one.
 
+The two maps share their fixed points; :func:`sweep_residuals` is the one
+place either map's residual at a point is computed.
+
 The sequential sweep is a forward substitution by blocks of ``_BLOCK`` = 256
 coordinates on the stored Gram triangle: every block after the first
 subtracts one GEMV over the means already solved, and each block solves its
 own diagonal block of T with ``dtrsv``, so no p x p array is written per
 sweep above 256 coordinates. Up to 256 coordinates there is one block, whose
-``dtrsv`` gets the whole T and right-hand side, so the sweep returns one
-whole-system solve bit for bit: the studies at the CLI defaults (p <= 50)
-and the p = 200 ``verify`` fixed points are unchanged by the blocking.
-Blocks of 64, 128, 192, 256 and 512 were timed at fixed points with one
-OpenBLAS thread on a shared 2-vCPU x86_64 machine. At p = 1000 the sweep
-took 1.09 ms with 256 against 2.00 ms as one solve, and its peak allocation
-fell from 8.1 MB to 0.67 MB. Blocks of 64 or 128 were 12-18% faster than
-256 at p = 400 and 1000, but blocks of 64 were slower than one solve at
-p = 200 (0.079 against 0.063 ms); ``BENCH_12.json`` has the table.
+``dtrsv`` gets the whole T and right-hand side, so the sweep is one
+whole-system solve bit for bit. Timed at fixed points with one OpenBLAS
+thread on a 2-vCPU x86_64 machine (``BENCH_12.json``), blocks of 64 or 128
+were 12-18% faster than 256 at p = 400 and 1000, but blocks of 64 were
+slower than one solve at p = 200 (0.079 against 0.063 ms).
 """
 
 from __future__ import annotations
@@ -52,6 +51,7 @@ __all__ = [
     "seq_sweep",
     "seq_sweep_system",
     "par_sweep",
+    "sweep_residuals",
     "run",
     "fixed_point",
 ]
@@ -190,6 +190,13 @@ def par_sweep(
     return (pre.xty - coupled) / pre.d
 
 
+def sweep_residuals(mu, alpha, pre: Precomputed, hyper: Hyperparams):
+    """Sup-norm residuals ``(seq, par)`` of both sweeps at ``mu``, with ``alpha`` frozen."""
+    seq = seq_sweep(mu, pre, hyper, alpha_override=alpha)
+    par = par_sweep(mu, pre, hyper, alpha_override=alpha)
+    return float(np.max(np.abs(seq - mu))), float(np.max(np.abs(par - mu)))
+
+
 def _initial_mu(cfg: RunConfig, pre: Precomputed) -> np.ndarray:
     if cfg.init == "zero":
         return np.zeros(pre.p)
@@ -284,10 +291,11 @@ def fixed_point(
     rule with no ELBO and no per-iteration state or trace. Both schemes share
     their fixed points, so the returned state must leave each one-sweep map
     nearly invariant: residuals below ``10 * cfg.tol`` in sup norm, checked
-    once at the converged iterate. Failure to converge, or a residual that
-    misses the target, raises :class:`FixedPointError`; its trace carries the
-    status, the iteration count and the final iterate of the sequential run,
-    and empty per-iteration lists.
+    once at the converged iterate by :func:`sweep_residuals`. Failure to
+    converge, or a residual that misses the target, raises
+    :class:`FixedPointError`; its trace carries the status, the iteration
+    count and the final iterate of the sequential run, and empty
+    per-iteration lists.
     """
     if pre is None:
         pre = precompute(dataset, hyper)
@@ -305,8 +313,7 @@ def fixed_point(
         raise FixedPointError(f"sequential iteration did not converge (status {status})", trace)
 
     target = 10.0 * cfg.tol
-    seq_res = float(np.max(np.abs(sweep(mu, alpha) - mu)))
-    par_res = float(np.max(np.abs(par_sweep(mu, pre, hyper, alpha_override=alpha) - mu)))
+    seq_res, par_res = sweep_residuals(mu, alpha, pre, hyper)
     if not (seq_res < target and par_res < target):
         raise FixedPointError(
             f"fixed-point residuals (sequential {seq_res:.3g}, parallel {par_res:.3g}) "

@@ -62,13 +62,10 @@ def _finite_mean(mu_star) -> np.ndarray:
 
 def _alpha_and_grad(mu_star, pre, hyper, alpha_override):
     """Inclusion probabilities and their mean-derivatives; overrides pin both."""
+    alpha = engines._resolve_alpha(mu_star, pre, hyper, alpha_override)
     if alpha_override is not None:
-        alpha = np.ascontiguousarray(alpha_override, dtype=np.float64)
-        grad = np.zeros_like(alpha)
-    else:
-        alpha = inclusion_prob(mu_star, pre.a, hyper)
-        grad = inclusion_prob_grad(mu_star, pre.a, alpha)
-    return alpha, grad
+        return alpha, np.zeros_like(alpha)
+    return alpha, inclusion_prob_grad(mu_star, pre.a, alpha)
 
 
 def jacobian_seq(
@@ -106,27 +103,31 @@ def jacobian_par(
     return -(offdiag_full * (alpha + grad * mu_star)[None, :]) / pre.d[:, None]
 
 
-def _krylov_radius(matvec, p: int, symmetric: bool):
-    """Largest eigenvalue modulus of the p x p operator ``matvec`` by ARPACK.
+def _krylov_radius(matvec, p: int, symmetric: bool, dense_eigvals):
+    """Largest eigenvalue modulus of the p x p operator ``matvec``.
 
-    Lanczos (``eigsh``) when ``symmetric``, else Arnoldi (``eigs``), with the
-    fixed parameters of the module docstring, so a rerun repeats the result.
-    Returns None when ARPACK raises ``ArpackError``, which includes
-    ``ArpackNoConvergence``: the caller then solves the same matrix densely.
+    From ``_KRYLOV_MIN_P`` coordinates up, ARPACK finds it: Lanczos
+    (``eigsh``) when ``symmetric``, else Arnoldi (``eigs``), with the fixed
+    parameters of the module docstring, so a rerun repeats the result. Below
+    that size, or when ARPACK raises ``ArpackError`` (which includes
+    ``ArpackNoConvergence``), ``dense_eigvals()`` returns every eigenvalue of
+    the same matrix.
     """
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, eigsh
+    if p >= _KRYLOV_MIN_P:
+        from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, eigsh
 
-    solve = eigsh if symmetric else eigs
-    try:
-        # maxiter counts restarts: converged fixed points up to p = 1000 needed at most 17
-        top = solve(
-            LinearOperator((p, p), matvec=matvec, dtype=np.float64),
-            k=1, which="LM", v0=np.ones(p), ncv=20, tol=1e-13, maxiter=100,
-            return_eigenvectors=False,
-        )
-    except ArpackError:
-        return None
-    return float(np.max(np.abs(top)))
+        solve = eigsh if symmetric else eigs
+        try:
+            # maxiter counts restarts: converged fixed points up to p = 1000 needed at most 17
+            top = solve(
+                LinearOperator((p, p), matvec=matvec, dtype=np.float64),
+                k=1, which="LM", v0=np.ones(p), ncv=20, tol=1e-13, maxiter=100,
+                return_eigenvectors=False,
+            )
+            return float(np.max(np.abs(top)))
+        except ArpackError:
+            pass
+    return float(np.max(np.abs(dense_eigvals())))
 
 
 def _par_radius(mu_star, pre: Precomputed, hyper: Hyperparams) -> float:
@@ -145,13 +146,11 @@ def _par_radius(mu_star, pre: Precomputed, hyper: Hyperparams) -> float:
     sym_lower = pre.xtx_lower * np.outer(r, r)
     if not np.all(np.isfinite(sym_lower)):
         raise ValueError("spectral_radius expects finite entries")
-    if pre.p >= _KRYLOV_MIN_P:
+    return _krylov_radius(
         # the stored triangle, read as the upper triangle of its Fortran-ordered transpose
-        rho = _krylov_radius(lambda v: dsymv(1.0, sym_lower.T, v, lower=0), pre.p, True)
-        if rho is not None:
-            return rho
-    evals = eigvalsh(sym_lower, lower=True, overwrite_a=True, check_finite=False)
-    return float(np.max(np.abs(evals)))
+        lambda v: dsymv(1.0, sym_lower.T, v, lower=0), pre.p, True,
+        lambda: eigvalsh(sym_lower, lower=True, overwrite_a=True, check_finite=False),
+    )
 
 
 def spectral_radius(jac: np.ndarray) -> float:
@@ -166,11 +165,7 @@ def spectral_radius(jac: np.ndarray) -> float:
         raise ValueError("spectral_radius expects a square matrix")
     if not np.all(np.isfinite(jac)):
         raise ValueError("spectral_radius expects finite entries")
-    if jac.shape[0] >= _KRYLOV_MIN_P:
-        rho = _krylov_radius(jac.dot, jac.shape[0], False)
-        if rho is not None:
-            return rho
-    return float(np.max(np.abs(np.linalg.eigvals(jac))))
+    return _krylov_radius(jac.dot, jac.shape[0], False, lambda: np.linalg.eigvals(jac))
 
 
 @dataclass
@@ -224,43 +219,27 @@ def check_assumption1(mu_star, pre: Precomputed, hyper: Hyperparams) -> Assumpti
     # delta_quad is the top eigenvalue of C^{-1/2} B C^2 B C^{-1/2} (B = diag(b)),
     # i.e. of the pencil (B C^2 B) v = lambda C v, B C^2 B = (CB)^T (CB)
     core_b = core * b[None, :]
+    delta_star = delta_bound = delta_quad = coupling_norm_sq = float("nan")
     try:
         top_quad = eigvalsh(core_b.T @ core_b, core, subset_by_index=[p - 1, p - 1])
     except LinAlgError:
         # the Cholesky factorization of a numerically singular core failed
-        nan = float("nan")
-        return Assumption1Result(
-            delta_star=nan,
-            delta_bound=nan,
-            satisfied=False,
-            delta_quad=nan,
-            delta_diag=delta_diag,
-            coupling_norm_sq=nan,
-            flags=flags + ["core_not_positive_definite"],
-        )
-    delta_quad = float(max(top_quad[0], 0.0))
-
-    coupling_norm_sq = float(eigvalsh(low.T @ low, subset_by_index=[p - 1, p - 1])[0])
-    delta_star = max(delta_quad, delta_diag)
-
-    if coupling_norm_sq < _COUPLING_EPS:
-        # decoupled coordinates: the bound degenerates and the condition is vacuous
-        return Assumption1Result(
-            delta_star=delta_star,
-            delta_bound=float("inf"),
-            satisfied=True,
-            delta_quad=delta_quad,
-            delta_diag=delta_diag,
-            coupling_norm_sq=coupling_norm_sq,
-            flags=flags + ["decoupled"],
-        )
-
-    lam_min = float(eigvalsh(core + np.diag(1.0 / alpha), subset_by_index=[0, 0])[0])
-    delta_bound = min(0.5, lam_min / coupling_norm_sq)
+        flags.append("core_not_positive_definite")
+    else:
+        delta_quad = float(max(top_quad[0], 0.0))
+        coupling_norm_sq = float(eigvalsh(low.T @ low, subset_by_index=[p - 1, p - 1])[0])
+        delta_star = max(delta_quad, delta_diag)
+        if coupling_norm_sq < _COUPLING_EPS:
+            # decoupled coordinates: the bound degenerates and the condition is vacuous
+            delta_bound = float("inf")
+            flags.append("decoupled")
+        else:
+            lam_min = float(eigvalsh(core + np.diag(1.0 / alpha), subset_by_index=[0, 0])[0])
+            delta_bound = min(0.5, lam_min / coupling_norm_sq)
     return Assumption1Result(
         delta_star=delta_star,
         delta_bound=delta_bound,
-        satisfied=bool(delta_star < delta_bound),
+        satisfied="decoupled" in flags or bool(delta_star < delta_bound),
         delta_quad=delta_quad,
         delta_diag=delta_diag,
         coupling_norm_sq=coupling_norm_sq,
@@ -283,16 +262,17 @@ class StabilityReport:
 def analyze_stability(mu_star, pre: Precomputed, hyper: Hyperparams) -> StabilityReport:
     """Full local analysis at ``mu_star``: radii, residuals, contraction check.
 
-    A sup-norm sweep residual above 1e-6 (``_RESIDUAL_TOL``) does not abort
-    the analysis but is flagged ``not_fixed_point``, since the radii describe
-    local stability only at a fixed point. An operator that overflows (for
+    Both sup-norm sweep residuals come from :func:`engines.sweep_residuals`.
+    A residual above 1e-6 (``_RESIDUAL_TOL``) does not abort the analysis
+    but is flagged ``not_fixed_point``, since the radii describe local
+    stability only at a fixed point. An operator that overflows (for
     instance the curvature mu^2 a (1 - alpha) at an extreme slab precision)
     raises ``FloatingPointError``: it is a numerical breakdown, not a result.
     """
     mu_star = _finite_mean(mu_star)
     with np.errstate(over="raise", invalid="raise"):
-        seq_residual = float(np.max(np.abs(engines.seq_sweep(mu_star, pre, hyper) - mu_star)))
-        par_residual = float(np.max(np.abs(engines.par_sweep(mu_star, pre, hyper) - mu_star)))
+        alpha = inclusion_prob(mu_star, pre.a, hyper)
+        seq_residual, par_residual = engines.sweep_residuals(mu_star, alpha, pre, hyper)
         flags = [] if max(seq_residual, par_residual) <= _RESIDUAL_TOL else ["not_fixed_point"]
         assumption = check_assumption1(mu_star, pre, hyper)
         return StabilityReport(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg.blas import dtrsv
 
-from sscavi import cli, engines
+from sscavi import cli, engines, harness
 from sscavi.engines import (
     FixedPointError,
     RunConfig,
@@ -19,6 +19,7 @@ from sscavi.engines import (
     par_sweep,
     run,
     seq_sweep,
+    sweep_residuals,
 )
 from sscavi.model import Dataset, Hyperparams, inclusion_prob, precompute
 from sscavi.synth import GenSpec, make_dataset, replicate_seed
@@ -156,6 +157,40 @@ def test_blocked_seq_sweep_matches_coordinate_loop(drawn):
     block, inputs = drawn
     with mock.patch.object(engines, "_BLOCK", block):
         _assert_matches_coordinate_loop(*inputs)
+
+
+@given(st.one_of(sweep_inputs().map(lambda inputs: (engines._BLOCK, inputs)), blocked_sweep_inputs()))
+@settings(max_examples=60, deadline=None)
+def test_sweep_residuals_match_direct_sweeps(drawn):
+    # the one residual site agrees with the direct sweeps, on and across block boundaries
+    block, (ds, mu, alpha_override) = drawn
+    pre = precompute(ds, HYPER)
+    alpha = inclusion_prob(mu, pre.a, HYPER) if alpha_override is None else alpha_override
+    with mock.patch.object(engines, "_BLOCK", block):
+        seq_res, par_res = sweep_residuals(mu, alpha, pre, HYPER)
+        direct_seq = np.max(np.abs(seq_sweep(mu, pre, HYPER, alpha_override=alpha) - mu))
+    direct_par = np.max(np.abs(par_sweep(mu, pre, HYPER, alpha_override=alpha) - mu))
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(mu))))
+    assert abs(seq_res - direct_seq) <= tol
+    assert abs(par_res - direct_par) <= tol
+
+
+def test_spectral_replicate_sweeps_fixed_point_three_times(monkeypatch):
+    # past its n_iter iterations, a replicate sweeps its fixed point once to
+    # certify it, once for the residuals of analyze_stability and once in
+    # jacobian_seq
+    seed, cfg = replicate_seed(0, 0), RunConfig(max_iter=500)
+    ds = make_dataset(GenSpec(n=200, p=50, s=25, seed=seed))
+    n_iter = run(ds, HYPER, Scheme("sequential"), cfg).n_iter
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return seq_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(engines, "seq_sweep", counted)
+    assert harness.spectral_replicate(200, 50, 25, seed, HYPER, cfg)["seq_converged"]
+    assert len(calls) == n_iter + 3
 
 
 def test_sweeps_propagate_nonfinite():
@@ -338,9 +373,10 @@ def test_fixed_point_raises_when_residual_misses_target(monkeypatch):
 
     def lag(*args, **kwargs):
         calls.append(1)
-        return par_sweep(*args, **kwargs) + 1.0
+        seq_res, par_res = sweep_residuals(*args, **kwargs)
+        return seq_res, par_res + 1.0
 
-    monkeypatch.setattr(engines, "par_sweep", lag)
+    monkeypatch.setattr(engines, "sweep_residuals", lag)
     with pytest.raises(FixedPointError, match="missed the target") as info:
         fixed_point(ds, HYPER, cfg, pre=pre)
     assert len(calls) == 1

@@ -365,8 +365,14 @@ def test_analyze_stability_report_fields():
     assert report.rho_par >= 0 and np.isfinite(report.rho_par)
     assert report.seq_residual < 1e-6
     assert report.flags == []
-    off_report = analyze_stability(state.mu + 0.5, pre, HYPER)
+    off_mu = state.mu + 0.5
+    off_report = analyze_stability(off_mu, pre, HYPER)
     assert "not_fixed_point" in off_report.flags
+    # both residuals agree with the direct sweeps at a point that is not fixed
+    for got, sweep in ((off_report.seq_residual, engines.seq_sweep),
+                       (off_report.par_residual, engines.par_sweep)):
+        direct = np.max(np.abs(sweep(off_mu, pre, HYPER) - off_mu))
+        assert abs(got - direct) <= 1e-12 * direct
 
 
 def test_wigner_stat_orthogonal_columns():
