@@ -209,13 +209,14 @@ def spectral_replicate(n, p, s, seed, hyper, run_cfg, amplitude=1.0):
         state = engines.fixed_point(ds, hyper, run_cfg, pre=pre)
     except engines.FixedPointError:
         return dict(seq_converged=False, rho_seq=float("nan"), rho_par=float("nan"),
-                    assumption1_satisfied=False, alpha_min=float("nan"))
+                    assumption1_satisfied=False, core_singular=False, alpha_min=float("nan"))
     report = stability.analyze_stability(state.mu, pre, hyper)
     return dict(
         seq_converged=True,
         rho_seq=report.rho_seq,
         rho_par=report.rho_par,
         assumption1_satisfied=report.assumption1.satisfied,
+        core_singular="core_not_positive_definite" in report.assumption1.flags,
         alpha_min=float(np.min(state.alpha)),
     )
 
@@ -230,12 +231,14 @@ def cmd_spectral_study(cfg: StudyConfig):
     out = _ensure_out(cfg)
     rows = []
     groups = []
+    n_singular = 0
     for panel, n, p, s in points:
         # log radii of the converged replicates, for this grid point's boxes
         log_seq, log_par = [], []
         for r in range(cfg.replications):
             seed = replicate_seed(cfg.master_seed, r)
             res = spectral_replicate(n, p, s, seed, cfg.hyper, cfg.run, cfg.amplitude)
+            n_singular += res["core_singular"]
             log_rho_seq = math.log(res["rho_seq"]) if res["rho_seq"] > 0 else float("nan")
             log_rho_par = math.log(res["rho_par"]) if res["rho_par"] > 0 else float("nan")
             rows.append(
@@ -267,6 +270,11 @@ def cmd_spectral_study(cfg: StudyConfig):
     n_failed = sum(not converged for *_, converged, _ in rows)
     if n_failed:
         print(f"note: {n_failed} replicate(s) did not converge and are excluded from boxplots")
+    if n_singular:
+        print(
+            f"note: {n_singular} replicate(s) flagged core_not_positive_definite: the scaled "
+            "Gram core could not be factored, so assumption1_satisfied reads false"
+        )
     return rows
 
 

@@ -16,9 +16,13 @@ The crossover, measured with one BLAS thread as the median time of both
 radii together: dense 2.0 ms against ARPACK 2.1 ms at p = 75, and 4.2 ms
 against 2.2 ms at p = 100 (Arnoldi alone wins from p = 75, Lanczos alone
 from about p = 150). A dense eigensolver that fails raises ``LinAlgError``.
-The contraction check stays dense (``eigvalsh``, generalized and subset
-forms). The independent oracles for these operators live in
-:mod:`sscavi.verify`.
+The contraction check takes its two top eigenvalues the same way, Lanczos
+from ``_KRYLOV_MIN_P`` up and dense ``eigvalsh`` below: delta_quad on
+Lc^{-1} B C^2 B Lc^{-T}, with the scaled core factored once as C = Lc Lc^T,
+and the coupling norm on Ls^T Ls. Its smallest eigenvalue is bounded by
+Weyl's inequality and solved for only when that bound is not enough
+(:func:`check_assumption1`). The independent oracles for these operators
+live in :mod:`sscavi.verify`.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from dataclasses import dataclass, field
 from typing import List, NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigvalsh, solve_triangular
-from scipy.linalg.blas import dsymv
+from scipy.linalg import LinAlgError, cholesky, eigvalsh, solve_triangular
+from scipy.linalg.blas import dsymv, dtrmv, dtrsv
 
 from . import engines
 from .model import Hyperparams, Precomputed, inclusion_prob, inclusion_prob_grad
@@ -202,6 +206,19 @@ def check_assumption1(mu_star, pre: Precomputed, hyper: Hyperparams) -> Assumpti
     [_ALPHA_CLAMP, 1 - _ALPHA_CLAMP] (1e-12) first (the inverse-probability
     diagonal is singular at saturation); clamped coordinates are reported
     through the ``alpha_saturated`` flag.
+
+    The core is factored once, C = Lc Lc^T; a core that cannot be factored
+    is flagged ``core_not_positive_definite``. delta_quad is the top
+    eigenvalue of Lc^{-1} B C^2 B Lc^{-T} (B = diag(b)), the pencil
+    (B C^2 B, C), and the coupling norm the top eigenvalue of Ls^T Ls. Both
+    come from :func:`_krylov_radius`: from ``_KRYLOV_MIN_P`` coordinates up,
+    Lanczos applies the first with two ``dtrsv`` and two ``dsymv`` and the
+    second with two ``dtrmv``, all on stored triangles; below that size, or
+    when ARPACK fails, ``eigvalsh`` solves the dense pencil and Ls^T Ls.
+    The bound min(0.5, lam_min(C + diag(1/alpha)) / coupling_norm_sq) rarely
+    needs lam_min: by Weyl's inequality, C > 0 gives lam_min > min(1/alpha),
+    so ``delta_bound`` is 0.5 whenever 2 min(1/alpha) >= coupling_norm_sq,
+    and only the other case runs ``eigvalsh``.
     """
     mu_star = _finite_mean(mu_star)
     alpha_raw = inclusion_prob(mu_star, pre.a, hyper)
@@ -212,29 +229,48 @@ def check_assumption1(mu_star, pre: Precomputed, hyper: Hyperparams) -> Assumpti
     p = pre.p
     inv_sqrt_d = 1.0 / np.sqrt(pre.d)
     low = pre.xtx_lower * np.outer(inv_sqrt_d, inv_sqrt_d)
-    core = low + low.T + np.eye(p)
+    # the lower triangle of C; BLAS reads the C-ordered triangles through their
+    # Fortran-ordered transposes (upper), so no Lanczos product copies them
+    core_lower = low + np.eye(p)
     b = mu_star * mu_star * pre.a * (1.0 - alpha)
     delta_diag = float(np.max(b * b * (alpha / (1.0 - alpha))))
 
-    # delta_quad is the top eigenvalue of C^{-1/2} B C^2 B C^{-1/2} (B = diag(b)),
-    # i.e. of the pencil (B C^2 B) v = lambda C v, B C^2 B = (CB)^T (CB)
-    core_b = core * b[None, :]
     delta_star = delta_bound = delta_quad = coupling_norm_sq = float("nan")
     try:
-        top_quad = eigvalsh(core_b.T @ core_b, core, subset_by_index=[p - 1, p - 1])
+        chol = cholesky(core_lower, lower=True, check_finite=False)
     except LinAlgError:
         # the Cholesky factorization of a numerically singular core failed
         flags.append("core_not_positive_definite")
     else:
-        delta_quad = float(max(top_quad[0], 0.0))
-        coupling_norm_sq = float(eigvalsh(low.T @ low, subset_by_index=[p - 1, p - 1])[0])
+
+        def quad_matvec(v):
+            # cholesky returns a Fortran-ordered factor: passed as is, it is not copied
+            x = b * dtrsv(chol, v, lower=1, trans=1)
+            x = dsymv(1.0, core_lower.T, dsymv(1.0, core_lower.T, x, lower=0), lower=0)
+            return dtrsv(chol, b * x, lower=1)
+
+        def dense_quad():
+            core = core_lower + low.T
+            core_b = core * b[None, :]
+            return eigvalsh(core_b.T @ core_b, core, subset_by_index=[p - 1, p - 1])
+
+        delta_quad = _krylov_radius(quad_matvec, p, True, dense_quad)
+        coupling_norm_sq = _krylov_radius(
+            lambda v: dtrmv(low.T, dtrmv(low.T, v, trans=1)), p, True,
+            lambda: eigvalsh(low.T @ low, subset_by_index=[p - 1, p - 1]),
+        )
         delta_star = max(delta_quad, delta_diag)
+        inv_alpha = 1.0 / alpha
         if coupling_norm_sq < _COUPLING_EPS:
             # decoupled coordinates: the bound degenerates and the condition is vacuous
             delta_bound = float("inf")
             flags.append("decoupled")
+        elif 2.0 * np.min(inv_alpha) >= coupling_norm_sq:
+            # Weyl: lam_min(C + diag(1/alpha)) > min(1/alpha) >= coupling_norm_sq / 2
+            delta_bound = 0.5
         else:
-            lam_min = float(eigvalsh(core + np.diag(1.0 / alpha), subset_by_index=[0, 0])[0])
+            shifted = core_lower + np.diag(inv_alpha)
+            lam_min = float(eigvalsh(shifted, lower=True, subset_by_index=[0, 0])[0])
             delta_bound = min(0.5, lam_min / coupling_norm_sq)
     return Assumption1Result(
         delta_star=delta_star,

@@ -429,4 +429,14 @@ def run_checks(
     results.append(
         CheckResult("blocked_seq_sweep_vs_coordinate", block_err, 1e-12, block_err < 1e-12)
     )
+
+    note("Krylov Assumption 1")
+    # the p = 200 check above came from Lanczos and the Weyl bound
+    got, want = report.assumption1, dense_assumption1(state_wide.mu, pre_wide, hyper)
+    a1_err = max(
+        abs(getattr(got, name) - getattr(want, name)) / abs(getattr(want, name))
+        for name in ("delta_quad", "coupling_norm_sq", "delta_bound")
+    )
+    a1_ok = a1_err < 1e-12 and got.satisfied == want.satisfied
+    results.append(CheckResult("krylov_assumption1_vs_dense", a1_err, 1e-12, a1_ok))
     return results

@@ -201,9 +201,10 @@ def test_cli_run_example_and_exit_codes(tmp_path, capsys, monkeypatch):
     assert "RuntimeWarning" not in proc.stderr
 
 
-def test_cli_spectral_study_singular_core(tmp_path):
+def test_cli_spectral_study_singular_core(tmp_path, capsys):
     # p > n with a vanishing ridge makes the scaled core numerically singular;
-    # the contraction check reports that instead of raising
+    # the contraction check reports that instead of raising, and the study
+    # says how many replicates it flagged
     out = str(tmp_path / "sing")
     argv = ["spectral-study", "--panel", "left", "--n", "20", "--p", "40",
             "--tau", "1e-20", "--reps", "3", "--out", out]
@@ -213,6 +214,14 @@ def test_cli_spectral_study_singular_core(tmp_path):
                         "log_rho_par,seq_converged,assumption1_satisfied")
     assert len(lines) == 4
     assert all(line.endswith(",false") for line in lines[1:])
+    n_converged = sum(line.endswith(",true,false") for line in lines[1:])
+    assert n_converged >= 1
+    stdout = capsys.readouterr().out
+    assert f"note: {n_converged} replicate(s) flagged core_not_positive_definite" in stdout
+    # a well-posed study prints no such note
+    assert cli.main(["spectral-study", "--panel", "left", "--p", "10", "--reps", "2",
+                     "--out", out]) == 0
+    assert "core_not_positive_definite" not in capsys.readouterr().out
 
 
 def test_cli_numerical_failure_exit(tmp_path, capsys, monkeypatch):
@@ -342,6 +351,7 @@ def test_verify_suite_passes_and_writes_csv(tmp_path):
         "perturbation_escape_par",
         "krylov_radii_vs_dense",
         "blocked_seq_sweep_vs_coordinate",
+        "krylov_assumption1_vs_dense",
     ]
 
 

@@ -154,6 +154,7 @@ def test_krylov_failure_falls_back_to_dense(monkeypatch):
     jac = jacobian_seq(state.mu, pre, HYPER)
     monkeypatch.setattr(stability, "_KRYLOV_MIN_P", 10**9)
     dense_seq, dense_par = spectral_radius(jac), _par_radius(state.mu, pre, HYPER)
+    dense_check = check_assumption1(state.mu, pre, HYPER)
     monkeypatch.undo()
 
     calls = []
@@ -166,7 +167,8 @@ def test_krylov_failure_falls_back_to_dense(monkeypatch):
     monkeypatch.setattr(sla, "eigsh", no_convergence)
     assert spectral_radius(jac) == dense_seq
     assert _par_radius(state.mu, pre, HYPER) == dense_par
-    assert len(calls) == 2
+    assert check_assumption1(state.mu, pre, HYPER) == dense_check
+    assert len(calls) == 4
 
     def raising_eigvals(_):
         raise np.linalg.LinAlgError("no convergence")
@@ -255,19 +257,30 @@ def test_par_radius_rejects_nonfinite_mean():
             entry(mu, pre, HYPER)
 
 
+def _collinear_instance(n, p):
+    """Nearly collinear columns: a large coupling norm pulls delta_bound below 0.5."""
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((n, 1)) + 0.1 * rng.standard_normal((n, p))
+    pre = precompute(Dataset(X=X, y=rng.standard_normal(n)), HYPER)
+    return pre, 0.5 * rng.standard_normal(p)
+
+
 def _assumption1_instances():
-    """(label, pre, mu) for the default study grids, p = 400, the saturated
-    regime, the zero-mean state, a decoupled orthogonal design and a nearly
-    collinear design."""
-    shapes = [(100, p, p) for p in (10, 20, 30, 40, 50)]
-    shapes += [(200, 50, s) for s in (5, 15, 25, 35, 45)]
-    shapes += [(800, 400, 200)]
+    """(label, pre, mu) for the default study grids, wide designs on both sides
+    of the Krylov crossover, the saturated regime, the zero-mean state, a
+    decoupled orthogonal design and nearly collinear designs below and above
+    the crossover."""
+    shapes = [(100, p, p, 0) for p in (10, 20, 30, 40, 50)]
+    shapes += [(200, 50, s, 0) for s in (5, 15, 25, 35, 45)]
+    wide = stability._KRYLOV_MIN_P + 10
+    shapes += [(2 * wide + 20, wide, 55, r) for r in (0, 1)]
+    shapes += [(800, 400, 200, r) for r in (0, 1, 2)]
     cases = []
-    for n, p, s in shapes:
-        ds = make_dataset(GenSpec(n=n, p=p, s=s, seed=replicate_seed(0, 0)))
+    for n, p, s, r in shapes:
+        ds = make_dataset(GenSpec(n=n, p=p, s=s, seed=replicate_seed(0, r)))
         pre = precompute(ds, HYPER)
         state = engines.fixed_point(ds, HYPER, engines.RunConfig(max_iter=500), pre=pre)
-        cases.append((f"{n},{p},{s}", pre, state.mu))
+        cases.append((f"{n},{p},{s} #{r}", pre, state.mu))
     ds = make_dataset(GenSpec(n=400, p=20, s=20, amplitude=5.0, seed=5))
     pre = precompute(ds, HYPER)
     state = engines.fixed_point(ds, HYPER, engines.RunConfig(max_iter=500), pre=pre)
@@ -277,36 +290,43 @@ def _assumption1_instances():
     X = np.vstack([np.eye(3) * 2.0, np.zeros((2, 3))])
     pre = precompute(Dataset(X=X, y=np.array([1.0, 2.0, -1.0, 0.0, 0.0])), HYPER)
     cases.append(("decoupled", pre, np.array([0.3, -0.2, 0.5])))
-    # nearly collinear columns: a large coupling norm pulls delta_bound below 0.5
-    rng = np.random.default_rng(4)
-    X = rng.standard_normal((30, 1)) + 0.1 * rng.standard_normal((30, 8))
-    pre = precompute(Dataset(X=X, y=rng.standard_normal(30)), HYPER)
-    cases.append(("collinear", pre, 0.5 * rng.standard_normal(8)))
+    cases.append(("collinear", *_collinear_instance(30, 8)))
+    cases.append(("wide collinear", *_collinear_instance(120, wide)))
     return cases
 
 
 def test_assumption1_matches_dense_oracle():
+    lam_min_branches = set()
     for label, pre, mu in _assumption1_instances():
         got = check_assumption1(mu, pre, HYPER)
         want = dense_assumption1(mu, pre, HYPER)
         for name in ("delta_quad", "coupling_norm_sq", "delta_bound"):
-            assert np.isclose(getattr(got, name), getattr(want, name), rtol=1e-10, atol=0.0), (
+            assert np.isclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=0.0), (
                 label, name, getattr(got, name), getattr(want, name))
         assert got.satisfied == want.satisfied, label
         if label == "zero mean":
             assert got.delta_star == pytest.approx(0.0, abs=1e-30)
+        alpha = np.clip(inclusion_prob(mu, pre.a, HYPER), 1e-12, 1.0 - 1e-12)
+        if got.coupling_norm_sq > 2.0 * np.min(1.0 / alpha):
+            # outside the Weyl shortcut: lam_min comes from eigvalsh
+            lam_min_branches.add(label)
+            assert got.delta_bound < 0.5, label
+    assert lam_min_branches == {"collinear", "wide collinear"}
 
 
 def test_assumption1_flags_singular_core():
-    # p > n with a vanishing ridge: the scaled core has rank n and cannot be factored
+    # p > n with a vanishing ridge: the scaled core has rank n and cannot be
+    # factored, on either side of the Krylov crossover
     hyper = Hyperparams(pi=0.5, tau=1e-20, sigma2=1.0)
-    ds = make_dataset(GenSpec(n=20, p=40, s=40, seed=replicate_seed(0, 0)))
-    pre = precompute(ds, hyper)
-    state = engines.fixed_point(ds, hyper, engines.RunConfig(max_iter=500), pre=pre)
-    result = check_assumption1(state.mu, pre, hyper)
-    assert "core_not_positive_definite" in result.flags
-    assert not result.satisfied
-    assert np.isnan(result.delta_quad) and np.isnan(result.delta_star)
+    for n, p in ((20, 40), (60, stability._KRYLOV_MIN_P + 10)):
+        ds = make_dataset(GenSpec(n=n, p=p, s=p, seed=replicate_seed(0, 0)))
+        pre = precompute(ds, hyper)
+        state = engines.fixed_point(ds, hyper, engines.RunConfig(max_iter=500), pre=pre)
+        result = check_assumption1(state.mu, pre, hyper)
+        assert "core_not_positive_definite" in result.flags, p
+        assert not result.satisfied, p
+        for name in ("delta_star", "delta_bound", "delta_quad", "coupling_norm_sq"):
+            assert np.isnan(getattr(result, name)), (p, name)
 
 
 def test_assumption1_zero_mean_state():
