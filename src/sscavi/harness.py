@@ -182,15 +182,18 @@ def _panel_points(cfg: StudyConfig):
     """Expand the panel selection into (panel, n, p, s) grid points."""
     if cfg.panel == "both" and cfg.explicit_grids:
         raise ConfigError("custom n/p/s grids require --panel left or right")
+
+    def given(name, default):
+        return _single(cfg, name) if name in cfg.explicit_grids else default
+
     points = []
     if cfg.panel in ("left", "both"):
-        n = int(cfg.n[0]) if (cfg.panel == "left" and "n" in cfg.explicit_grids) else 100
-        p_grid = cfg.p if (cfg.panel == "left" and "p" in cfg.explicit_grids) else DEFAULT_LEFT_P_GRID
+        n = given("n", 100)
+        p_grid = cfg.p if "p" in cfg.explicit_grids else DEFAULT_LEFT_P_GRID
         points += [("left", n, int(p), int(p)) for p in p_grid]
     if cfg.panel in ("right", "both"):
-        n = int(cfg.n[0]) if (cfg.panel == "right" and "n" in cfg.explicit_grids) else 200
-        p = int(cfg.p[0]) if (cfg.panel == "right" and "p" in cfg.explicit_grids) else 50
-        s_grid = cfg.s if (cfg.panel == "right" and "s" in cfg.explicit_grids) else DEFAULT_RIGHT_S_GRID
+        n, p = given("n", 200), given("p", 50)
+        s_grid = cfg.s if "s" in cfg.explicit_grids else DEFAULT_RIGHT_S_GRID
         points += [("right", n, p, int(s)) for s in s_grid]
     return points
 

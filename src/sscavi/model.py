@@ -51,7 +51,6 @@ class Dataset:
     X: np.ndarray
     y: np.ndarray
     beta_true: Optional[np.ndarray] = None
-    sigma2_gen: float = 1.0
 
     def __post_init__(self):
         self.X = _finite_array(self.X, "X", 2)
@@ -65,8 +64,6 @@ class Dataset:
             self.beta_true = _finite_array(self.beta_true, "beta_true", 1)
             if self.beta_true.shape[0] != p:
                 raise ValueError("beta_true length must equal the number of columns")
-        if not (np.isfinite(self.sigma2_gen) and self.sigma2_gen >= 0):
-            raise ValueError("sigma2_gen must be a finite nonnegative real")
 
     @property
     def n(self) -> int:

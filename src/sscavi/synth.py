@@ -104,4 +104,4 @@ def make_dataset(spec: GenSpec) -> Dataset:
     X = gen_design(spec)
     beta = make_beta(spec)
     y = gen_response(X, beta, spec.sigma2, spec.seed)
-    return Dataset(X=X, y=y, beta_true=beta, sigma2_gen=spec.sigma2)
+    return Dataset(X=X, y=y, beta_true=beta)

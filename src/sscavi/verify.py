@@ -59,24 +59,23 @@ def textbook_jacobi_sweep(A, b, x):
 
 
 def coordinate_seq_sweep(mu, alpha, pre, refresh_hyper: Optional[Hyperparams] = None):
-    """One sequential sweep as an explicit loop over the dense Gram matrix.
+    """One sequential sweep as an explicit in-order loop over the coordinates.
 
-    Coordinate j reads the fresh means below it and the entry means above
-    it. By default alpha stays frozen, the oracle for :func:`engines.seq_sweep`.
-    With ``refresh_hyper`` given, ``alpha[j]`` is recomputed from the fresh
-    mean right after coordinate j updates: the per-coordinate map of
-    Carbonetto & Stephens (2012), which the package does not ship, and of
-    which this branch is the reference.
+    Coordinate j takes one dense Gram row product over l != j, reading the
+    fresh means below it and the entry means above it. By default alpha
+    stays frozen, the oracle for :func:`engines.seq_sweep`. With
+    ``refresh_hyper`` given, ``alpha[j]`` is recomputed from the fresh mean
+    right after coordinate j updates: the per-coordinate map of Carbonetto &
+    Stephens (2012), which the package does not ship, and of which this
+    branch is the reference.
     """
     gram = pre.xtx
     alpha = np.array(alpha, dtype=np.float64)
     mu_new = np.array(mu, dtype=np.float64)  # updated in place, in order
     for j in range(pre.p):
-        acc = pre.xty[j]
-        for l in range(pre.p):
-            if l != j:
-                acc -= gram[j, l] * alpha[l] * mu_new[l]
-        mu_new[j] = acc / pre.d[j]
+        head = gram[j, :j] @ (alpha[:j] * mu_new[:j])
+        tail = gram[j, j + 1 :] @ (alpha[j + 1 :] * mu_new[j + 1 :])
+        mu_new[j] = (pre.xty[j] - head - tail) / pre.d[j]
         if refresh_hyper is not None:
             alpha[j] = inclusion_prob(mu_new[j], pre.a[j], refresh_hyper)
     return mu_new

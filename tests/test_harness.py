@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -304,20 +305,27 @@ def test_cli_config_file_held_to_flag_choices(tmp_path, capsys, line):
     assert not (out / "trace.csv").exists()
 
 
-def test_cli_defaults_are_study_config_defaults(monkeypatch):
-    # the benchmark builds its default study from StudyConfig; the CLI must
-    # hand over the same configuration when given no flags
-    captured = {}
+@pytest.fixture
+def captured(monkeypatch):
+    """Stub the study commands; each records the StudyConfig the CLI hands it."""
+    seen = {}
 
-    def capture(name, result=None):
+    def stub(name, result=None):
         def fake(cfg):
-            captured[name] = cfg
+            seen[name] = cfg
             return result
         monkeypatch.setattr(harness, name, fake)
 
-    capture("cmd_spectral_study")
-    capture("cmd_run_example", engines.RunTrace("converged", 0, None))
-    capture("cmd_wigner_check")
+    stub("cmd_spectral_study")
+    stub("cmd_run_example", engines.RunTrace("converged", 0, None))
+    stub("cmd_wigner_check")
+    return seen
+
+
+def test_cli_defaults_are_study_config_defaults(captured):
+    # the CLI states no defaults of its own: given no flags it hands over
+    # StudyConfig's defaults, from which the benchmark also builds its default
+    # study, and wigner-check only adds its own n, p and replication count
     assert cli.main(["spectral-study"]) == 0
     assert cli.main(["run-example"]) == 0
     assert cli.main(["wigner-check"]) == 0
@@ -326,6 +334,73 @@ def test_cli_defaults_are_study_config_defaults(monkeypatch):
     assert captured["cmd_wigner_check"] == StudyConfig(
         out_dir="out", mode="wigner_check", n=(1000,), p=(200,), replications=20
     )
+
+
+_DEFAULT = StudyConfig(out_dir="out", mode="run_example")
+# flag -> (a value other than its default, the fields it replaces, a value that
+# does not parse, or None for a flag that takes any text)
+_ONE_FLAG = {
+    "n": ("7,9", dict(n=(7, 9), explicit_grids=frozenset({"n"})), "7,x"),
+    "p": ("3", dict(p=(3,), explicit_grids=frozenset({"p"})), "3.5"),
+    "s": ("2", dict(s=(2,), explicit_grids=frozenset({"s"})), "two"),
+    "pi": ("0.25", dict(hyper=Hyperparams(pi=0.25, tau=1.0, sigma2=1.0)), "half"),
+    "tau": ("2.5", dict(hyper=Hyperparams(pi=0.5, tau=2.5, sigma2=1.0)), "1,2"),
+    "sigma2": ("0.5", dict(hyper=Hyperparams(pi=0.5, tau=1.0, sigma2=0.5)), ""),
+    "amplitude": ("3", dict(amplitude=3.0), "big"),
+    "scheme": ("par", dict(scheme=engines.Scheme("parallel")), "sequential"),
+    "init": ("zero", dict(run=engines.RunConfig(max_iter=500, init="zero")), "custom"),
+    "max_iter": ("7", dict(run=engines.RunConfig(max_iter=7)), "1e3"),
+    "tol": ("1e-5", dict(run=engines.RunConfig(max_iter=500, tol=1e-5)), "tiny"),
+    "reps": ("3", dict(replications=3), "3.0"),
+    "seed": ("11", dict(master_seed=11), "0x1"),
+    "out": ("elsewhere", dict(out_dir="elsewhere"), None),
+    "panel": ("left", dict(panel="left"), "top"),
+}
+
+
+@pytest.mark.parametrize("key", list(cli._FLAGS))
+def test_cli_flag_replaces_its_field(key, captured, tmp_path, capsys):
+    # every flag, given on the command line or in a config file, replaces
+    # exactly its own StudyConfig field and leaves every other at its default
+    value, fields, bad = _ONE_FLAG[key]
+    expected = replace(_DEFAULT, **fields)
+    assert expected != _DEFAULT
+    flag = "--" + key.replace("_", "-")
+    cfg_file = tmp_path / "one.cfg"
+    cfg_file.write_text(f"{key} = {value}\n")
+    for argv in ([flag, value], ["--config", str(cfg_file)]):
+        assert cli.main(["run-example", *argv]) == 0, argv
+        assert captured.pop("cmd_run_example") == expected, argv
+    if bad is None:
+        return
+    capsys.readouterr()
+    cfg_file.write_text(f"{key} = {bad}\n")
+    assert cli.main(["run-example", "--config", str(cfg_file)]) == 2
+    assert capsys.readouterr().err.startswith(f"invalid configuration: {key} ")
+    if cli._FLAGS[key][2] is None:
+        assert cli.main(["run-example", flag + "=" + bad]) == 2
+        assert capsys.readouterr().err.startswith(f"invalid configuration: {key} ")
+    else:  # argparse holds a command-line value to the flag's choices
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run-example", flag + "=" + bad])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid choice" in capsys.readouterr().err
+    assert "cmd_run_example" not in captured
+
+
+@pytest.mark.parametrize("argv", [
+    ["--panel", "left", "--n", "100,300", "--p", "10"],
+    ["--panel", "right", "--p", "50,60", "--s", "5"],
+])
+def test_cli_spectral_study_rejects_grid_it_cannot_use(tmp_path, capsys, argv):
+    # a panel runs one n (and the right panel one p); a longer list is an
+    # error, not a study that silently drops all but its first value
+    out = tmp_path / "multi"
+    assert cli.main(["spectral-study", *argv, "--reps", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: ")
+    assert "must be a single value for spectral_study" in err
+    assert not (out / "rho.csv").exists()
 
 
 def test_verify_suite_passes_and_writes_csv(tmp_path):
