@@ -6,6 +6,8 @@ matching the long flag names), whose values are held to the same choices;
 explicit command-line flags win. A value that is given replaces one field of
 :class:`harness.StudyConfig`; every value that is not takes that field's
 default, except that wigner-check has its own n, p and replication count.
+An s given to wigner-check, or to the left spectral-study panel (whose
+points set s = p), is invalid configuration rather than dropped.
 Exit status: 0 on success; 1 when a verification check fails, on an I/O
 failure, or on a numerical failure (an eigensolver that does not converge, or
 an overflow in the stability analysis); 2 on invalid configuration.

@@ -109,14 +109,6 @@ class RunTrace:
     elbo: list = field(default_factory=list)
     step_sup_norm: list = field(default_factory=list)
 
-    @property
-    def converged(self) -> bool:
-        return self.status == "converged"
-
-    @property
-    def diverged_at(self) -> Optional[int]:
-        return self.n_iter if self.status == "diverged" else None
-
 
 class FixedPointError(RuntimeError):
     """Sequential iteration failed to reach a fixed point.

@@ -186,6 +186,8 @@ def _panel_points(cfg: StudyConfig):
     def given(name, default):
         return _single(cfg, name) if name in cfg.explicit_grids else default
 
+    if cfg.panel == "left" and "s" in cfg.explicit_grids:
+        raise ConfigError("the left panel sets s = p, so it takes no s")
     points = []
     if cfg.panel in ("left", "both"):
         n = given("n", 100)
@@ -301,10 +303,13 @@ def cmd_verify(cfg: StudyConfig) -> int:
 
 def cmd_wigner_check(cfg: StudyConfig):
     """Replicated normalized-Gram spectral norms over the (n, p) grid."""
+    if "s" in cfg.explicit_grids:
+        raise ConfigError("wigner-check draws designs only, so it takes no s")
+    points = [(int(n), int(p)) for n in cfg.n for p in cfg.p]
+    for n, p in points:
+        if not 2 <= p <= n:
+            raise ConfigError(f"wigner-check needs 2 <= p <= n, got n={n}, p={p}")
     out = _ensure_out(cfg)
-    points = [(int(n), int(p)) for n in cfg.n for p in cfg.p if 2 <= p <= n]
-    if not points:
-        raise ConfigError("wigner-check needs at least one grid point with 2 <= p <= n")
     tau = cfg.hyper.tau
     rows = []
     summaries = []

@@ -119,11 +119,6 @@ class Precomputed:
     def p(self) -> int:
         return self.a.shape[0]
 
-    @property
-    def xtx(self) -> np.ndarray:
-        """Dense Gram matrix, rebuilt from the stored triangle on every access."""
-        return self.xtx_lower + self.xtx_lower.T + np.diag(self.col_sq_norms)
-
 
 def precompute(dataset: Dataset, hyper: Hyperparams) -> Precomputed:
     """Assemble the per-column precisions, Gram pieces, and cross moments.
@@ -178,8 +173,8 @@ class VariationalState:
 
     The constructor checks only that both are 1-d of equal length and that
     every finite ``alpha`` lies in [0, 1]; it does not tie ``alpha`` to
-    ``mu`` (``run(pin_alpha=True)`` returns ``alpha = 1``). :meth:`from_mu`
-    derives ``alpha`` as the sigmoid transform of ``mu``.
+    ``mu`` (``run(pin_alpha=True)`` returns ``alpha = 1``). The iteration
+    drivers derive ``alpha`` from ``mu`` with :func:`inclusion_prob`.
     """
 
     mu: np.ndarray
@@ -193,11 +188,6 @@ class VariationalState:
         finite = np.isfinite(self.alpha)
         if np.any((self.alpha[finite] < 0) | (self.alpha[finite] > 1)):
             raise ValueError("alpha entries must lie in [0, 1]")
-
-    @classmethod
-    def from_mu(cls, mu, pre: Precomputed, hyper: Hyperparams) -> "VariationalState":
-        mu = np.ascontiguousarray(mu, dtype=np.float64)
-        return cls(mu=mu, alpha=inclusion_prob(mu, pre.a, hyper))
 
 
 def expected_loglik(

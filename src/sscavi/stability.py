@@ -17,12 +17,12 @@ radii together: dense 2.0 ms against ARPACK 2.1 ms at p = 75, and 4.2 ms
 against 2.2 ms at p = 100 (Arnoldi alone wins from p = 75, Lanczos alone
 from about p = 150). A dense eigensolver that fails raises ``LinAlgError``.
 The contraction check takes its two top eigenvalues the same way, Lanczos
-from ``_KRYLOV_MIN_P`` up and dense ``eigvalsh`` below: delta_quad on
-Lc^{-1} B C^2 B Lc^{-T}, with the scaled core factored once as C = Lc Lc^T,
-and the coupling norm on Ls^T Ls. Its smallest eigenvalue is bounded by
-Weyl's inequality and solved for only when that bound is not enough
-(:func:`check_assumption1`). The independent oracles for these operators
-live in :mod:`sscavi.verify`.
+from ``_KRYLOV_MIN_P`` up and dense ``eigvalsh`` below, each path on the
+same operator: delta_quad on K K^T with K = Lc^{-1} B C, the scaled core
+factored once as C = Lc Lc^T, and the coupling norm on Ls^T Ls. Its
+smallest eigenvalue is bounded by Weyl's inequality and solved for only
+when that bound is not enough (:func:`check_assumption1`). The independent
+oracles for these operators live in :mod:`sscavi.verify`.
 """
 
 from __future__ import annotations
@@ -209,12 +209,14 @@ def check_assumption1(mu_star, pre: Precomputed, hyper: Hyperparams) -> Assumpti
 
     The core is factored once, C = Lc Lc^T; a core that cannot be factored
     is flagged ``core_not_positive_definite``. delta_quad is the top
-    eigenvalue of Lc^{-1} B C^2 B Lc^{-T} (B = diag(b)), the pencil
-    (B C^2 B, C), and the coupling norm the top eigenvalue of Ls^T Ls. Both
-    come from :func:`_krylov_radius`: from ``_KRYLOV_MIN_P`` coordinates up,
-    Lanczos applies the first with two ``dtrsv`` and two ``dsymv`` and the
-    second with two ``dtrmv``, all on stored triangles; below that size, or
-    when ARPACK fails, ``eigvalsh`` solves the dense pencil and Ls^T Ls.
+    eigenvalue of K K^T = Lc^{-1} B C^2 B Lc^{-T}, K = Lc^{-1} B C and
+    B = diag(b) (the top generalized eigenvalue of the pencil (B C^2 B, C)),
+    and the coupling norm the top eigenvalue of Ls^T Ls. Both come from
+    :func:`_krylov_radius`: from ``_KRYLOV_MIN_P`` coordinates up, Lanczos
+    applies the first with two ``dtrsv`` and two ``dsymv`` and the second
+    with two ``dtrmv``, all on stored triangles; below that size, or when
+    ARPACK fails, ``eigvalsh`` solves K K^T, K from one triangular solve
+    with Lc, and Ls^T Ls.
     The bound min(0.5, lam_min(C + diag(1/alpha)) / coupling_norm_sq) rarely
     needs lam_min: by Weyl's inequality, C > 0 gives lam_min > min(1/alpha),
     so ``delta_bound`` is 0.5 whenever 2 min(1/alpha) >= coupling_norm_sq,
@@ -250,9 +252,10 @@ def check_assumption1(mu_star, pre: Precomputed, hyper: Hyperparams) -> Assumpti
             return dtrsv(chol, b * x, lower=1)
 
         def dense_quad():
-            core = core_lower + low.T
-            core_b = core * b[None, :]
-            return eigvalsh(core_b.T @ core_b, core, subset_by_index=[p - 1, p - 1])
+            # K = Lc^{-1} B C, so K K^T is the operator quad_matvec applies
+            k = solve_triangular(chol, b[:, None] * (core_lower + low.T), lower=True,
+                                 check_finite=False)
+            return eigvalsh(k @ k.T, subset_by_index=[p - 1, p - 1])
 
         delta_quad = _krylov_radius(quad_matvec, p, True, dense_quad)
         coupling_norm_sq = _krylov_radius(

@@ -10,8 +10,10 @@ eigensolver on the Jacobian, the ARPACK radii of wide designs against full
 dense eigensolves, the contraction check against its defining dense
 formulas, and the spectral radii against perturbation orbits. The
 per-coordinate sequential map, which the package does not ship, is kept here
-as a reference whose fixed points the tests hold to the production sweep's.
-No production code path uses these oracles.
+as a reference whose fixed points the tests hold to the production sweep's,
+and so is the dense ridge system that both pinned sweeps split
+(:func:`ridge_system`), of which the package stores only a triangle. No
+production code path uses these oracles.
 """
 
 from __future__ import annotations
@@ -58,6 +60,19 @@ def textbook_jacobi_sweep(A, b, x):
     return (b - (A - np.diag(diag)) @ x) / diag
 
 
+def ridge_system(pre) -> np.ndarray:
+    """The dense p x p system D + L + L^T that both pinned sweeps split.
+
+    L is the strict lower Gram triangle and D = diag(d) the sweep normalizer,
+    so off the diagonal this is the Gram matrix X^T X, and on it
+    |X_j|^2 + sigma2 tau: the ridge system (X^T X + sigma2 tau I) mu = X^T y
+    whose Gauss-Seidel and Jacobi iterations the sweeps become when the
+    inclusion probabilities are pinned to one. The package itself stores only
+    the triangle; this is the one place the dense system is built.
+    """
+    return pre.xtx_lower + pre.xtx_lower.T + np.diag(pre.d)
+
+
 def coordinate_seq_sweep(mu, alpha, pre, refresh_hyper: Optional[Hyperparams] = None):
     """One sequential sweep as an explicit in-order loop over the coordinates.
 
@@ -69,7 +84,7 @@ def coordinate_seq_sweep(mu, alpha, pre, refresh_hyper: Optional[Hyperparams] = 
     Stephens (2012), which the package does not ship, and of which this
     branch is the reference.
     """
-    gram = pre.xtx
+    gram = ridge_system(pre)
     alpha = np.array(alpha, dtype=np.float64)
     mu_new = np.array(mu, dtype=np.float64)  # updated in place, in order
     for j in range(pre.p):
@@ -79,13 +94,6 @@ def coordinate_seq_sweep(mu, alpha, pre, refresh_hyper: Optional[Hyperparams] = 
         if refresh_hyper is not None:
             alpha[j] = inclusion_prob(mu_new[j], pre.a[j], refresh_hyper)
     return mu_new
-
-
-def dense_par_sweep(mu, alpha, pre):
-    """One parallel sweep in Jacobi form on the dense off-diagonal Gram matrix."""
-    gram = pre.xtx
-    offdiag = gram - np.diag(np.diag(gram))
-    return (pre.xty - offdiag @ (np.asarray(alpha) * np.asarray(mu))) / pre.d
 
 
 def fd_jacobian(map_fn: Callable, mu_star, h: float = 1e-6) -> np.ndarray:
@@ -220,12 +228,12 @@ def dense_assumption1(mu_star, pre, hyper: Hyperparams) -> DenseAssumption1:
     of the full spectrum of C^{-1/2} B C^2 B C^{-1/2}, C^{-1/2} taken from a full
     eigendecomposition of C; the coupling norm is the SVD 2-norm of the scaled
     lower triangle; lam_min is the bottom of the full spectrum of C + diag(1/alpha).
-    C is built here from the dense Gram matrix, C = D^{-1/2} (X^T X - diag) D^{-1/2} + I.
+    C is built here from :func:`ridge_system`, C = D^{-1/2} (L + L^T) D^{-1/2} + I.
     Probabilities are clamped into [1e-12, 1 - 1e-12] as in the production check.
     """
     mu_star = np.asarray(mu_star, dtype=np.float64)
     alpha = np.clip(inclusion_prob(mu_star, pre.a, hyper), 1e-12, 1.0 - 1e-12)
-    gram = pre.xtx
+    gram = ridge_system(pre)
     scaled_offdiag = (gram - np.diag(np.diag(gram))) / np.sqrt(np.outer(pre.d, pre.d))
     core = scaled_offdiag + np.eye(pre.p)
     b = mu_star**2 * pre.a * (1.0 - alpha)
@@ -320,7 +328,10 @@ def run_checks(
         np.max(np.abs(engines.seq_sweep(mu, pre, hyper) - coordinate_seq_sweep(mu, alpha, pre)))
     )
     par_diff = float(
-        np.max(np.abs(engines.par_sweep(mu, pre, hyper) - dense_par_sweep(mu, alpha, pre)))
+        np.max(np.abs(
+            engines.par_sweep(mu, pre, hyper)
+            - textbook_jacobi_sweep(ridge_system(pre), pre.xty, alpha * mu)
+        ))
     )
     results.append(CheckResult("seq_sweep_coord_vs_matrix", seq_diff, 1e-10, seq_diff < 1e-10))
     results.append(CheckResult("par_sweep_coord_vs_matrix", par_diff, 1e-10, par_diff < 1e-10))
@@ -345,7 +356,7 @@ def run_checks(
     note("pinned-probability degeneracies")
     ds_ridge = make_dataset(GenSpec(n=60, p=10, s=5, seed=seed + 11))
     pre_ridge = precompute(ds_ridge, hyper)
-    ridge_sys = pre_ridge.xtx + hyper.sigma2 * hyper.tau * np.eye(10)
+    ridge_sys = ridge_system(pre_ridge)
     direct = np.linalg.solve(ridge_sys, pre_ridge.xty)
     trace = engines.run(
         ds_ridge, hyper, engines.Scheme("sequential"), engines.RunConfig(), pre=pre_ridge,

@@ -10,11 +10,18 @@ import numpy as np
 import pytest
 
 from sscavi import cli, engines, stability
-from sscavi.model import Hyperparams, VariationalState, expected_loglik, precompute
+from sscavi.model import (
+    Hyperparams,
+    VariationalState,
+    expected_loglik,
+    inclusion_prob,
+    precompute,
+)
 from sscavi.synth import GenSpec, make_dataset, replicate_seed
 from sscavi.verify import (
     fd_jacobian,
     mc_expected_loglik,
+    ridge_system,
     textbook_gauss_seidel_sweep,
     textbook_jacobi_sweep,
 )
@@ -120,7 +127,7 @@ def test_c06_pinned_degeneracy_oracle():
         seed = replicate_seed(888, r)
         ds = make_dataset(GenSpec(n=60, p=10, s=5, seed=seed))
         pre = precompute(ds, HYPER)
-        ridge = pre.xtx + HYPER.sigma2 * HYPER.tau * np.eye(10)
+        ridge = ridge_system(pre)
         direct = np.linalg.solve(ridge, pre.xty)
         trace = engines.run(ds, HYPER, engines.Scheme(), RUN_CFG, pre=pre, pin_alpha=True)
         max_solve = max(max_solve, float(np.max(np.abs(trace.final_state.mu - direct))))
@@ -148,12 +155,11 @@ def test_c06_pinned_degeneracy_oracle():
 def test_c07_elbo_monte_carlo_oracle():
     ds = make_dataset(GenSpec(n=20, p=4, s=2, seed=11))
     pre = precompute(ds, HYPER)
+    random_mu = np.random.default_rng(55).standard_normal(4)
     states = {
-        "zero": VariationalState.from_mu(np.zeros(4), pre, HYPER),
+        "zero": VariationalState(np.zeros(4), inclusion_prob(np.zeros(4), pre.a, HYPER)),
         "fixed_point": engines.fixed_point(ds, HYPER, RUN_CFG, pre=pre),
-        "random": VariationalState.from_mu(
-            np.random.default_rng(55).standard_normal(4), pre, HYPER
-        ),
+        "random": VariationalState(random_mu, inclusion_prob(random_mu, pre.a, HYPER)),
     }
     zscores = {}
     for i, (name, state) in enumerate(states.items()):

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from sscavi import engines
-from sscavi.model import Hyperparams, VariationalState, expected_loglik, precompute
+from sscavi.model import (
+    Hyperparams,
+    VariationalState,
+    expected_loglik,
+    inclusion_prob,
+    precompute,
+)
 from sscavi.synth import GenSpec, make_dataset
 from sscavi.verify import mc_expected_loglik
 
@@ -19,6 +25,10 @@ def instance():
     return ds, pre
 
 
+def _state(mu, pre):
+    return VariationalState(mu, inclusion_prob(mu, pre.a, HYPER))
+
+
 def _zscore(state, ds, pre, seed):
     analytic = expected_loglik(state, ds, HYPER, pre)
     estimate, stderr = mc_expected_loglik(state, ds, HYPER, pre, SAMPLES, seed=seed)
@@ -27,7 +37,7 @@ def _zscore(state, ds, pre, seed):
 
 def test_loglik_matches_mc_at_zero_state(instance):
     ds, pre = instance
-    state = VariationalState.from_mu(np.zeros(4), pre, HYPER)
+    state = _state(np.zeros(4), pre)
     assert _zscore(state, ds, pre, seed=101) < 3.0
 
 
@@ -40,12 +50,12 @@ def test_loglik_matches_mc_at_fixed_point(instance):
 def test_loglik_matches_mc_at_random_state(instance):
     ds, pre = instance
     mu = np.random.default_rng(55).standard_normal(4)
-    state = VariationalState.from_mu(mu, pre, HYPER)
+    state = _state(mu, pre)
     assert _zscore(state, ds, pre, seed=103) < 3.0
 
 
 def test_mc_estimator_reports_sane_stderr(instance):
     ds, pre = instance
-    state = VariationalState.from_mu(np.zeros(4), pre, HYPER)
+    state = _state(np.zeros(4), pre)
     _, stderr = mc_expected_loglik(state, ds, HYPER, pre, 50_000, seed=1)
     assert 0 < stderr < 1.0

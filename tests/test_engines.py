@@ -25,7 +25,7 @@ from sscavi.model import Dataset, Hyperparams, inclusion_prob, precompute
 from sscavi.synth import GenSpec, make_dataset, replicate_seed
 from sscavi.verify import (
     coordinate_seq_sweep,
-    dense_par_sweep,
+    ridge_system,
     textbook_gauss_seidel_sweep,
     textbook_jacobi_sweep,
 )
@@ -72,13 +72,16 @@ def test_sweep_dual_forms_agree():
             seq_sweep(mu, pre, HYPER), coordinate_seq_sweep(mu, alpha, pre), atol=1e-10
         )
         np.testing.assert_allclose(
-            par_sweep(mu, pre, HYPER), dense_par_sweep(mu, alpha, pre), atol=1e-10
+            par_sweep(mu, pre, HYPER),
+            textbook_jacobi_sweep(ridge_system(pre), pre.xty, alpha * mu),
+            atol=1e-10,
         )
 
 
 def test_seq_sweep_coordinate_recursion_explicit():
     # spell the recursion out with loops, fresh means below j, stale above
-    _, pre = _random_instance(30, 6, 3, seed=11)
+    ds, pre = _random_instance(30, 6, 3, seed=11)
+    gram = ds.X.T @ ds.X
     rng = np.random.default_rng(11)
     mu = rng.standard_normal(6)
     alpha = inclusion_prob(mu, pre.a, HYPER)
@@ -86,9 +89,9 @@ def test_seq_sweep_coordinate_recursion_explicit():
     for j in range(6):
         acc = pre.xty[j]
         for l in range(j):
-            acc -= pre.xtx[j, l] * alpha[l] * expected[l]
+            acc -= gram[j, l] * alpha[l] * expected[l]
         for l in range(j + 1, 6):
-            acc -= pre.xtx[j, l] * alpha[l] * mu[l]
+            acc -= gram[j, l] * alpha[l] * mu[l]
         expected[j] = acc / pre.d[j]
     np.testing.assert_allclose(seq_sweep(mu, pre, HYPER), expected, atol=1e-13)
 
@@ -261,7 +264,7 @@ def test_per_coordinate_map_shares_fixed_points(shape):
 @pytest.mark.parametrize("seed", range(5))
 def test_pinned_sweeps_match_textbook_splittings(seed):
     ds, pre = _random_instance(60, 10, 5, seed=seed + 100)
-    ridge = pre.xtx + HYPER.sigma2 * HYPER.tau * np.eye(10)
+    ridge = ridge_system(pre)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(10)
     ones = np.ones(10)
@@ -283,10 +286,9 @@ def test_pinned_sweeps_match_textbook_splittings(seed):
 
 def test_pinned_sequential_run_solves_ridge_system():
     ds, pre = _random_instance(60, 10, 5, seed=21)
-    ridge = pre.xtx + HYPER.sigma2 * HYPER.tau * np.eye(10)
-    direct = np.linalg.solve(ridge, pre.xty)
+    direct = np.linalg.solve(ridge_system(pre), pre.xty)
     trace = run(ds, HYPER, Scheme("sequential"), RunConfig(), pre=pre, pin_alpha=True)
-    assert trace.converged
+    assert trace.status == "converged"
     np.testing.assert_allclose(trace.final_state.mu, direct, atol=1e-6)
 
 
@@ -307,7 +309,7 @@ def test_run_parallel_dense_diverges():
     ds, pre = _random_instance(100, 50, 50, seed=1)
     trace = run(ds, HYPER, Scheme("parallel"), RunConfig(), pre=pre)
     assert trace.status == "diverged"
-    assert trace.diverged_at == trace.n_iter
+    assert trace.iterations[-1] == trace.n_iter
 
 
 def test_run_records_match_status():

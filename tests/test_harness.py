@@ -1,5 +1,6 @@
 """Harness and CLI tests: file outputs, determinism, config handling, exit codes."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sscavi import cli, engines, harness
@@ -249,29 +250,54 @@ def test_cli_numerical_failure_exit(tmp_path, capsys, monkeypatch):
     assert not os.path.exists(os.path.join(out, "rho.csv"))
 
 
-_SIZES = st.integers(min_value=-1, max_value=12).map(str)
+_SIZES = st.lists(st.integers(min_value=-1, max_value=12), min_size=1, max_size=2).map(
+    lambda sizes: ",".join(map(str, sizes))
+)
 _REALS = st.sampled_from(["1.0", "0.5", "3", "0", "-1", "abc", "", "nan", "inf", "-inf", "1e308"])
+# the CSV whose columns hold every grid value a study command was given
+_GRID_CSV = {"spectral-study": "rho.csv", "wigner-check": "wigner_summary.csv"}
 
 
 @given(
-    command=st.sampled_from(["run-example", "spectral-study", "gen-data"]),
+    command=st.sampled_from(["run-example", "spectral-study", "gen-data", "wigner-check"]),
     n=_SIZES,
     p=_SIZES,
-    s=_SIZES,
+    s=st.one_of(st.none(), _SIZES),
     max_iter=st.integers(min_value=-1, max_value=20).map(str),
     tau=_REALS,
     amplitude=_REALS,
     scheme=st.sampled_from(["seq", "par"]),
     panel=st.sampled_from(["left", "right", "both"]),
 )
+# random draws rarely make every value valid, so each study's exit 0 is also pinned
+@example(command="spectral-study", n="12", p="6", s="2,4", max_iter="20", tau="1.0",
+         amplitude="1.0", scheme="seq", panel="right")
+@example(command="spectral-study", n="12", p="3,5", s=None, max_iter="20", tau="1.0",
+         amplitude="1.0", scheme="seq", panel="left")
+@example(command="wigner-check", n="12,10", p="2,10", s=None, max_iter="20", tau="1.0",
+         amplitude="1.0", scheme="seq", panel="both")
 @settings(max_examples=40, deadline=None)
 def test_cli_boundary_exit_codes(command, n, p, s, max_iter, tau, amplitude, scheme, panel):
-    # every small argument combination ends in a documented exit status
-    argv = [command, f"--n={n}", f"--p={p}", f"--s={s}", "--reps=1",
+    # every small argument combination ends in a documented exit status; a
+    # study that succeeds uses every grid value it was given, and invalid
+    # configuration writes no CSV. wigner-check, which takes no s, and some
+    # other draws pass no --s
+    grids = {"n": n, "p": p}
+    if s is not None and command != "wigner-check":
+        grids["s"] = s
+    argv = [command, *(f"--{key}={value}" for key, value in grids.items()), "--reps=1",
             f"--max-iter={max_iter}", f"--tau={tau}", f"--amplitude={amplitude}",
             f"--scheme={scheme}", f"--panel={panel}"]
     with tempfile.TemporaryDirectory() as out:
-        assert cli.main(argv + [f"--out={out}"]) in (0, 1, 2), argv
+        code = cli.main(argv + [f"--out={out}"])
+        assert code in (0, 1, 2), argv
+        if code == 0 and command in _GRID_CSV:
+            with open(os.path.join(out, _GRID_CSV[command])) as fh:
+                rows = list(csv.DictReader(fh))
+            for key, value in grids.items():
+                assert set(value.split(",")) <= {row[key] for row in rows}, (argv, key)
+        if code == 2:
+            assert not any(name.endswith(".csv") for name in os.listdir(out)), argv
 
 
 def test_cli_config_file_with_override(tmp_path):
@@ -401,6 +427,31 @@ def test_cli_spectral_study_rejects_grid_it_cannot_use(tmp_path, capsys, argv):
     assert err.startswith("invalid configuration: ")
     assert "must be a single value for spectral_study" in err
     assert not (out / "rho.csv").exists()
+
+
+def test_cli_left_panel_rejects_s(tmp_path, capsys):
+    # the left panel sets s = p, so a given s would be dropped from rho.csv
+    out = tmp_path / "left"
+    argv = ["spectral-study", "--panel", "left", "--p", "10", "--s", "3", "--reps", "1"]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: ")
+    assert "left panel" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--n", "100", "--p", "10,200"], "n=100, p=200"),
+    (["--n", "100", "--p", "10", "--s", "3"], "no s"),
+])
+def test_cli_wigner_check_rejects_points_it_would_drop(tmp_path, capsys, argv, named):
+    # every (n, p) point and no s: nothing is dropped from wigner_summary.csv
+    out = tmp_path / "w"
+    assert cli.main(["wigner-check", *argv, "--reps", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: ")
+    assert named in err
+    assert not out.exists()
 
 
 def test_verify_suite_passes_and_writes_csv(tmp_path):

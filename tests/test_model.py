@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sscavi import engines
 from sscavi.model import (
     Dataset,
     Hyperparams,
@@ -77,9 +78,9 @@ def test_precompute_zero_column_allowed():
 def test_gram_triangle_reconstruction():
     ds = make_dataset(GenSpec(n=40, p=8, s=4, seed=7))
     pre = precompute(ds, Hyperparams(pi=0.5, tau=1.0))
-    rebuilt = pre.xtx_lower + pre.xtx_lower.T + np.diag(np.diag(pre.xtx))
-    np.testing.assert_allclose(rebuilt, pre.xtx, atol=1e-10)
-    np.testing.assert_allclose(np.diag(pre.xtx), pre.col_sq_norms, rtol=1e-12)
+    gram = ds.X.T @ ds.X
+    np.testing.assert_allclose(pre.xtx_lower, np.tril(gram, k=-1), atol=1e-10)
+    np.testing.assert_allclose(pre.col_sq_norms, np.diag(gram), rtol=1e-12)
 
 
 def test_inclusion_prob_neutral_point():
@@ -122,9 +123,9 @@ def test_state_alpha_is_derived():
     ds = make_dataset(GenSpec(n=30, p=5, s=2, seed=3))
     hyper = Hyperparams(pi=0.5, tau=1.0)
     pre = precompute(ds, hyper)
+    state = engines.run(ds, hyper, cfg=engines.RunConfig(max_iter=3), pre=pre).final_state
+    np.testing.assert_allclose(state.alpha, inclusion_prob(state.mu, pre.a, hyper), atol=1e-12)
     mu = np.linspace(-1, 1, 5)
-    state = VariationalState.from_mu(mu, pre, hyper)
-    np.testing.assert_allclose(state.alpha, inclusion_prob(mu, pre.a, hyper), atol=1e-12)
     with pytest.raises(ValueError):
         VariationalState(mu=mu, alpha=np.full(5, 2.0))
 
@@ -141,7 +142,7 @@ def test_elbo_zero_mean_orthonormal_hand_computed():
     pre = precompute(ds, hyper)
 
     mu = np.zeros(p)
-    state = VariationalState.from_mu(mu, pre, hyper)
+    state = VariationalState(mu, inclusion_prob(mu, pre.a, hyper))
     a = 2.0  # |X_j|^2 + tau
     alpha = 1.0 / (1.0 + math.sqrt(a))  # sigmoid(log(1/sqrt(2)))
     assert state.alpha[0] == pytest.approx(alpha, abs=1e-14)
@@ -158,6 +159,6 @@ def test_elbo_handles_saturated_alpha():
     hyper = Hyperparams(pi=0.5, tau=1.0)
     pre = precompute(ds, hyper)
     mu = np.full(3, 20.0)
-    state = VariationalState.from_mu(mu, pre, hyper)
+    state = VariationalState(mu, inclusion_prob(mu, pre.a, hyper))
     assert np.all(state.alpha == 1.0)
     assert math.isfinite(elbo(state, ds, hyper, pre))

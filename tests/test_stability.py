@@ -23,6 +23,7 @@ from sscavi.verify import (
     fd_jacobian,
     gelfand_spectral_radius,
     perturbation_decay,
+    ridge_system,
 )
 
 HYPER = Hyperparams(pi=0.5, tau=1.0, sigma2=1.0)
@@ -47,7 +48,7 @@ def test_jacobians_vanish_for_single_coordinate():
 def test_pinned_jacobians_are_classical_iteration_matrices():
     ds = make_dataset(GenSpec(n=60, p=10, s=5, seed=17))
     pre = precompute(ds, HYPER)
-    ridge = pre.xtx + HYPER.sigma2 * HYPER.tau * np.eye(10)
+    ridge = ridge_system(pre)
     mu = np.zeros(10)
     ones = np.ones(10)
     gs_matrix = -np.linalg.solve(np.tril(ridge), np.triu(ridge, 1))
@@ -64,7 +65,7 @@ def test_pinned_jacobians_are_classical_iteration_matrices():
 def test_pinned_spectral_radii_match_textbook_splittings(seed):
     ds = make_dataset(GenSpec(n=60, p=10, s=5, seed=seed + 200))
     pre = precompute(ds, HYPER)
-    ridge = pre.xtx + HYPER.sigma2 * HYPER.tau * np.eye(10)
+    ridge = ridge_system(pre)
     ones = np.ones(10)
     rho_gs = spectral_radius(-np.linalg.solve(np.tril(ridge), np.triu(ridge, 1)))
     rho_jac = spectral_radius(-(ridge - np.diag(np.diag(ridge))) / np.diag(ridge)[:, None])
@@ -222,7 +223,7 @@ def test_parallel_radius_equals_similar_factorization():
     ds, pre, state = _converged_instance(n=60, p=12, s=6, seed=5)
     jac = jacobian_par(state.mu, pre, HYPER)
     # D^{1/2} J D^{-1/2} = -(scaled off-diagonal Gram) diag(alpha (1 + mu^2 a (1 - alpha)))
-    gram = pre.xtx
+    gram = ridge_system(pre)
     offdiag = (gram - np.diag(np.diag(gram))) / np.sqrt(np.outer(pre.d, pre.d))
     curvature = state.mu**2 * pre.a * (1.0 - state.alpha)
     similar = -offdiag * ((1.0 + curvature) * state.alpha)[None, :]
