@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Subcommands: gen-data, run-example, spectral-study, verify, wigner-check.
-Every flag may also be given in a config file (key = value per line, keys
-matching the long flag names), whose values are held to the same choices;
+Each takes only the flags it reads (``_COMMANDS``); a flag it does not read
+is a usage error, exit 2. Every flag may also be given in a config file (key =
+value per line, keys matching the long flag names), whose keys are held to
+the same per-command flags and whose values are held to the same choices;
 explicit command-line flags win. A value that is given replaces one field of
 :class:`harness.StudyConfig`; every value that is not takes that field's
 default, except that wigner-check has its own n, p and replication count.
-An s given to wigner-check, or to the left spectral-study panel (whose
-points set s = p), is invalid configuration rather than dropped.
+An s given to the left spectral-study panel (whose points set s = p) is
+invalid configuration rather than dropped.
 Exit status: 0 on success; 1 when a verification check fails, on an I/O
 failure, or on a numerical failure (an eigensolver that does not converge, or
 an overflow in the stability analysis); 2 on invalid configuration.
@@ -33,9 +35,9 @@ _SCHEMES = {"seq": engines.Scheme(engines.SEQUENTIAL), "par": engines.Scheme(eng
 # What a value that fails to parse was expected to be, by parser.
 _EXPECTS = {_ints: "integers", int: "an integer", float: "a real number"}
 
-# Every flag but --config, in parser order: name -> (StudyConfig field, parser,
-# choices, help). "hyper.*" and "run.*" name fields of the nested Hyperparams
-# and RunConfig. The parser and the config-file reader both take choices from here.
+# Every flag but --config: name -> (StudyConfig field, parser, choices, help).
+# "hyper.*" and "run.*" name fields of the nested Hyperparams and RunConfig. The
+# parser and the config-file reader both take choices from here.
 _FLAGS = {
     "n": ("n", _ints, None, "sample size (comma list for study grids)"),
     "p": ("p", _ints, None, "dimension (comma list for study grids)"),
@@ -54,7 +56,17 @@ _FLAGS = {
     "panel": ("panel", str, ("left", "right", "both"), "study panel"),
 }
 
-_COMMANDS = ("gen-data", "run-example", "spectral-study", "verify", "wigner-check")
+# The flags each command reads, in parser order: the parser offers a command no
+# other flag, and the config-file reader takes no other key.
+_COMMANDS = {
+    "gen-data": ("n", "p", "s", "sigma2", "amplitude", "seed", "out"),
+    "run-example": ("n", "p", "s", "pi", "tau", "sigma2", "amplitude", "scheme", "init",
+                    "max_iter", "tol", "seed", "out"),
+    "spectral-study": ("n", "p", "s", "pi", "tau", "sigma2", "amplitude", "init", "max_iter",
+                       "tol", "reps", "seed", "out", "panel"),
+    "verify": ("seed", "out"),
+    "wigner-check": ("n", "p", "tau", "reps", "seed", "out"),
+}
 _COMMAND_DEFAULTS = {"wigner-check": dict(n=(1000,), p=(200,), replications=20)}
 
 
@@ -64,22 +76,25 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spike-and-slab CAVI experiments and stability studies",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in _COMMANDS:
-        cp = sub.add_parser(command)
+    for command, keys in _COMMANDS.items():
+        # no abbreviations: --s would otherwise read as --seed where s is not taken
+        cp = sub.add_parser(command, allow_abbrev=False)
         cp.add_argument("--config", help="config file (key = value per line)")
-        for key, (_, _, choices, help_text) in _FLAGS.items():
+        for key in keys:
+            _, _, choices, help_text = _FLAGS[key]
             cp.add_argument("--" + key.replace("_", "-"), dest=key, choices=choices, help=help_text)
     return parser
 
 
 def _assemble(command: str, args: argparse.Namespace) -> StudyConfig:
     given = harness.parse_config_file(args.config) if args.config else {}
-    given.update((key, getattr(args, key)) for key in _FLAGS if getattr(args, key) is not None)
+    keys = _COMMANDS[command]
+    given.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
     fields = dict(_COMMAND_DEFAULTS.get(command, {}))
     nested = {"hyper": {}, "run": {}}
     for key, text in given.items():
-        if key not in _FLAGS:
-            raise ConfigError(f"unknown config key {key!r}")
+        if key not in keys:
+            raise ConfigError(f"{command} takes no config key {key!r}")
         target, parse, choices, _ = _FLAGS[key]
         if choices is not None and text not in choices:
             raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {text!r}")

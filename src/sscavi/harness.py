@@ -74,6 +74,8 @@ class StudyConfig:
                 raise ConfigError(f"{name} grid must be nonempty")
             if any(int(v) < 0 for v in grid):
                 raise ConfigError(f"{name} grid must be nonnegative")
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigError("seed must lie in [0, 2^64)")
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
         if self.panel not in ("left", "right", "both"):
@@ -303,8 +305,6 @@ def cmd_verify(cfg: StudyConfig) -> int:
 
 def cmd_wigner_check(cfg: StudyConfig):
     """Replicated normalized-Gram spectral norms over the (n, p) grid."""
-    if "s" in cfg.explicit_grids:
-        raise ConfigError("wigner-check draws designs only, so it takes no s")
     points = [(int(n), int(p)) for n in cfg.n for p in cfg.p]
     for n, p in points:
         if not 2 <= p <= n:

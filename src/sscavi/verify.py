@@ -32,7 +32,7 @@ from .model import (
     inclusion_prob_grad,
     precompute,
 )
-from .synth import GenSpec, make_dataset
+from .synth import _MASK64, GenSpec, make_dataset
 
 
 class CheckResult(NamedTuple):
@@ -315,13 +315,17 @@ def run_checks(
         if progress is not None:
             progress(msg)
 
+    def offset(k):
+        # folded into [0, 2^64), so that every seed GenSpec takes runs
+        return (seed + k) & _MASK64
+
     results: List[CheckResult] = []
     hyper = Hyperparams(pi=0.5, tau=1.0, sigma2=1.0)
 
     note("sweep dual forms")
-    ds = make_dataset(GenSpec(n=40, p=8, s=4, seed=seed + 7))
+    ds = make_dataset(GenSpec(n=40, p=8, s=4, seed=offset(7)))
     pre = precompute(ds, hyper)
-    rng = np.random.default_rng(seed + 7)
+    rng = np.random.default_rng(offset(7))
     mu = rng.standard_normal(8)
     alpha = inclusion_prob(mu, pre.a, hyper)
     seq_diff = float(
@@ -354,7 +358,7 @@ def run_checks(
         results.append(CheckResult(f"fd_h_sweep_{h:.0e}", err_h, float("nan"), True))
 
     note("pinned-probability degeneracies")
-    ds_ridge = make_dataset(GenSpec(n=60, p=10, s=5, seed=seed + 11))
+    ds_ridge = make_dataset(GenSpec(n=60, p=10, s=5, seed=offset(11)))
     pre_ridge = precompute(ds_ridge, hyper)
     ridge_sys = ridge_system(pre_ridge)
     direct = np.linalg.solve(ridge_sys, pre_ridge.xty)
@@ -366,7 +370,7 @@ def run_checks(
     results.append(
         CheckResult("pinned_seq_vs_direct_solve", solve_diff, 1e-6, solve_diff < 1e-6)
     )
-    x0 = np.random.default_rng(seed + 11).standard_normal(10)
+    x0 = np.random.default_rng(offset(11)).standard_normal(10)
     ones = np.ones(10)
     gs_diff = float(
         np.max(np.abs(
@@ -400,7 +404,7 @@ def run_checks(
     results.append(
         CheckResult("perturbation_contract_seq", 1.0 if contract_ok else 0.0, 0.5, contract_ok)
     )
-    ds_dense = make_dataset(GenSpec(n=100, p=50, s=50, seed=seed + 3))
+    ds_dense = make_dataset(GenSpec(n=100, p=50, s=50, seed=offset(3)))
     pre_dense = precompute(ds_dense, hyper)
     state_dense = engines.fixed_point(ds_dense, hyper, engines.RunConfig(), pre=pre_dense)
     escape_ok = perturbation_decay(
@@ -416,7 +420,7 @@ def run_checks(
 
     note("Krylov radii")
     # p = 200 is above stability._KRYLOV_MIN_P, so the study's radii come from ARPACK
-    ds_wide = make_dataset(GenSpec(n=400, p=200, s=100, seed=seed + 13))
+    ds_wide = make_dataset(GenSpec(n=400, p=200, s=100, seed=offset(13)))
     pre_wide = precompute(ds_wide, hyper)
     state_wide = engines.fixed_point(ds_wide, hyper, engines.RunConfig(), pre=pre_wide)
     report = stability.analyze_stability(state_wide.mu, pre_wide, hyper)
@@ -428,9 +432,9 @@ def run_checks(
 
     note("blocked sequential sweep")
     # p = 600 is three blocks of engines._BLOCK = 256 coordinates, the last one partial
-    ds_block = make_dataset(GenSpec(n=1200, p=600, s=300, seed=seed + 17))
+    ds_block = make_dataset(GenSpec(n=1200, p=600, s=300, seed=offset(17)))
     pre_block = precompute(ds_block, hyper)
-    mu = np.random.default_rng(seed + 17).standard_normal(600)
+    mu = np.random.default_rng(offset(17)).standard_normal(600)
     expected = coordinate_seq_sweep(mu, inclusion_prob(mu, pre_block.a, hyper), pre_block)
     block_err = float(
         np.max(np.abs(engines.seq_sweep(mu, pre_block, hyper) - expected))

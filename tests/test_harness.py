@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -187,6 +188,9 @@ def test_cli_run_example_and_exit_codes(tmp_path, capsys, monkeypatch):
         ["run-example", "--n", "0"],
         ["run-example", "--s", "60"],
         ["run-example", "--seed", "-1"],
+        ["spectral-study", "--seed", "-1", "--reps", "1"],
+        ["wigner-check", "--seed", "-1"],
+        ["gen-data", "--seed", str(2**64)],
         ["run-example", "--amplitude", "nan"],
         ["run-example", "--tau", "1e308", "--sigma2", "1e-308"],
         ["gen-data", "--p", "0"],
@@ -258,6 +262,10 @@ _REALS = st.sampled_from(["1.0", "0.5", "3", "0", "-1", "abc", "", "nan", "inf",
 _GRID_CSV = {"spectral-study": "rho.csv", "wigner-check": "wigner_summary.csv"}
 
 
+def _argv(flags):
+    return [f"--{key.replace('_', '-')}={value}" for key, value in flags.items()]
+
+
 @given(
     command=st.sampled_from(["run-example", "spectral-study", "gen-data", "wigner-check"]),
     n=_SIZES,
@@ -280,14 +288,14 @@ _GRID_CSV = {"spectral-study": "rho.csv", "wigner-check": "wigner_summary.csv"}
 def test_cli_boundary_exit_codes(command, n, p, s, max_iter, tau, amplitude, scheme, panel):
     # every small argument combination ends in a documented exit status; a
     # study that succeeds uses every grid value it was given, and invalid
-    # configuration writes no CSV. wigner-check, which takes no s, and some
-    # other draws pass no --s
-    grids = {"n": n, "p": p}
-    if s is not None and command != "wigner-check":
-        grids["s"] = s
-    argv = [command, *(f"--{key}={value}" for key, value in grids.items()), "--reps=1",
-            f"--max-iter={max_iter}", f"--tau={tau}", f"--amplitude={amplitude}",
-            f"--scheme={scheme}", f"--panel={panel}"]
+    # configuration writes no CSV. Each command is given only the flags it
+    # reads, and some draws pass no --s
+    drawn = dict(n=n, p=p, s=s, reps="1", max_iter=max_iter, tau=tau, amplitude=amplitude,
+                 scheme=scheme, panel=panel)
+    flags = {key: value for key, value in drawn.items()
+             if value is not None and key in cli._COMMANDS[command]}
+    grids = {key: flags[key] for key in ("n", "p", "s") if key in flags}
+    argv = [command, *_argv(flags)]
     with tempfile.TemporaryDirectory() as out:
         code = cli.main(argv + [f"--out={out}"])
         assert code in (0, 1, 2), argv
@@ -323,12 +331,14 @@ def test_cli_rejects_unknown_config_key(tmp_path):
 def test_cli_config_file_held_to_flag_choices(tmp_path, capsys, line):
     # a config-file value outside a flag's choices is invalid configuration,
     # not a silent fallback to another scheme
+    key = line.split(" = ")[0]
+    command = next(command for command, keys in cli._COMMANDS.items() if key in keys)
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text(line + "\n")
     out = tmp_path / "ex"
-    assert cli.main(["run-example", "--config", str(cfg_file), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("invalid configuration: ")
-    assert not (out / "trace.csv").exists()
+    assert cli.main([command, "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"invalid configuration: {key} must be one of")
+    assert not out.exists()
 
 
 @pytest.fixture
@@ -342,8 +352,10 @@ def captured(monkeypatch):
             return result
         monkeypatch.setattr(harness, name, fake)
 
+    stub("cmd_gen_data", [])
     stub("cmd_spectral_study")
     stub("cmd_run_example", engines.RunTrace("converged", 0, None))
+    stub("cmd_verify", 0)
     stub("cmd_wigner_check")
     return seen
 
@@ -352,17 +364,16 @@ def test_cli_defaults_are_study_config_defaults(captured):
     # the CLI states no defaults of its own: given no flags it hands over
     # StudyConfig's defaults, from which the benchmark also builds its default
     # study, and wigner-check only adds its own n, p and replication count
-    assert cli.main(["spectral-study"]) == 0
-    assert cli.main(["run-example"]) == 0
+    for command in ("gen-data", "run-example", "spectral-study", "verify"):
+        mode = command.replace("-", "_")
+        assert cli.main([command]) == 0
+        assert captured["cmd_" + mode] == StudyConfig(out_dir="out", mode=mode), command
     assert cli.main(["wigner-check"]) == 0
-    assert captured["cmd_spectral_study"] == StudyConfig(out_dir="out", mode="spectral_study")
-    assert captured["cmd_run_example"] == StudyConfig(out_dir="out", mode="run_example")
     assert captured["cmd_wigner_check"] == StudyConfig(
         out_dir="out", mode="wigner_check", n=(1000,), p=(200,), replications=20
     )
 
 
-_DEFAULT = StudyConfig(out_dir="out", mode="run_example")
 # flag -> (a value other than its default, the fields it replaces, a value that
 # does not parse, or None for a flag that takes any text)
 _ONE_FLAG = {
@@ -386,32 +397,39 @@ _ONE_FLAG = {
 
 @pytest.mark.parametrize("key", list(cli._FLAGS))
 def test_cli_flag_replaces_its_field(key, captured, tmp_path, capsys):
-    # every flag, given on the command line or in a config file, replaces
-    # exactly its own StudyConfig field and leaves every other at its default
+    # every flag, given on the command line or in a config file to any command
+    # that reads it, replaces exactly its own StudyConfig field and leaves every
+    # other at that command's default
     value, fields, bad = _ONE_FLAG[key]
-    expected = replace(_DEFAULT, **fields)
-    assert expected != _DEFAULT
     flag = "--" + key.replace("_", "-")
     cfg_file = tmp_path / "one.cfg"
-    cfg_file.write_text(f"{key} = {value}\n")
-    for argv in ([flag, value], ["--config", str(cfg_file)]):
-        assert cli.main(["run-example", *argv]) == 0, argv
-        assert captured.pop("cmd_run_example") == expected, argv
-    if bad is None:
-        return
-    capsys.readouterr()
-    cfg_file.write_text(f"{key} = {bad}\n")
-    assert cli.main(["run-example", "--config", str(cfg_file)]) == 2
-    assert capsys.readouterr().err.startswith(f"invalid configuration: {key} ")
-    if cli._FLAGS[key][2] is None:
-        assert cli.main(["run-example", flag + "=" + bad]) == 2
+    commands = [command for command, keys in cli._COMMANDS.items() if key in keys]
+    assert commands
+    for command in commands:
+        stub = "cmd_" + command.replace("-", "_")
+        assert cli.main([command]) == 0
+        default = captured.pop(stub)
+        expected = replace(default, **fields)
+        assert expected != default, command
+        cfg_file.write_text(f"{key} = {value}\n")
+        for argv in ([flag, value], ["--config", str(cfg_file)]):
+            assert cli.main([command, *argv]) == 0, (command, argv)
+            assert captured.pop(stub) == expected, (command, argv)
+        if bad is None:
+            continue
+        capsys.readouterr()
+        cfg_file.write_text(f"{key} = {bad}\n")
+        assert cli.main([command, "--config", str(cfg_file)]) == 2
         assert capsys.readouterr().err.startswith(f"invalid configuration: {key} ")
-    else:  # argparse holds a command-line value to the flag's choices
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["run-example", flag + "=" + bad])
-        assert exc.value.code == 2
-        assert f"argument {flag}: invalid choice" in capsys.readouterr().err
-    assert "cmd_run_example" not in captured
+        if cli._FLAGS[key][2] is None:
+            assert cli.main([command, flag + "=" + bad]) == 2
+            assert capsys.readouterr().err.startswith(f"invalid configuration: {key} ")
+        else:  # argparse holds a command-line value to the flag's choices
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, flag + "=" + bad])
+            assert exc.value.code == 2
+            assert f"argument {flag}: invalid choice" in capsys.readouterr().err
+        assert stub not in captured
 
 
 @pytest.mark.parametrize("argv", [
@@ -440,18 +458,99 @@ def test_cli_left_panel_rejects_s(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, named", [
-    (["--n", "100", "--p", "10,200"], "n=100, p=200"),
-    (["--n", "100", "--p", "10", "--s", "3"], "no s"),
-])
-def test_cli_wigner_check_rejects_points_it_would_drop(tmp_path, capsys, argv, named):
-    # every (n, p) point and no s: nothing is dropped from wigner_summary.csv
+def _exit_code(argv):
+    """The CLI's exit status, including the parser's exit on a usage error."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, starts, named", [
+    (["--n", "100", "--p", "10,200"], "invalid configuration: ", "n=100, p=200"),
+    (["--n", "100", "--p", "10", "--s", "3"], "usage: ", "unrecognized arguments: --s 3"),
+], ids=["n=100, p=200", "no s"])
+def test_cli_wigner_check_rejects_points_it_would_drop(tmp_path, capsys, argv, starts, named):
+    # every (n, p) point is checked and the parser takes no s: nothing is
+    # dropped from wigner_summary.csv
     out = tmp_path / "w"
-    assert cli.main(["wigner-check", *argv, "--reps", "1", "--out", str(out)]) == 2
+    assert _exit_code(["wigner-check", *argv, "--reps", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("invalid configuration: ")
+    assert err.startswith(starts)
     assert named in err
     assert not out.exists()
+
+
+# command -> (the flags of a small run that exits 0, and for every flag the
+# command reads a value other than that run's)
+_PROBE = {
+    "gen-data": (dict(n="12", p="4", s="2"), dict(
+        n="13", p="5", s="1", sigma2="0.5", amplitude="2", seed="1", out="elsewhere")),
+    "run-example": (dict(n="30", p="6", s="3"), dict(
+        n="31", p="7", s="2", pi="0.25", tau="2", sigma2="0.5", amplitude="2", scheme="par",
+        init="zero", max_iter="3", tol="1e-3", seed="1", out="elsewhere")),
+    "spectral-study": (dict(panel="right", reps="1"), dict(
+        n="100", p="45", s="5", pi="0.25", tau="2", sigma2="0.5", amplitude="2", init="zero",
+        max_iter="3", tol="1e-3", reps="2", seed="1", out="elsewhere", panel="left")),
+    "verify": ({}, dict(seed="1", out="elsewhere")),
+    "wigner-check": (dict(n="20", p="5", reps="2"), dict(
+        n="21", p="4", tau="2", reps="3", seed="1", out="elsewhere")),
+}
+
+
+def _run_in(directory, monkeypatch, argv):
+    """Run the CLI from a new ``directory``: its exit status and every file it wrote there."""
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    code = _exit_code(argv)
+    files = {path.relative_to(directory): path.read_bytes()
+             for path in directory.rglob("*") if path.is_file()}
+    return code, files
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c in cli._COMMANDS for k in cli._FLAGS])
+def test_cli_flag_table_is_the_truth(command, key, tmp_path, monkeypatch, capsys):
+    keys = cli._COMMANDS[command]
+    flag = "--" + key.replace("_", "-")
+    # --help lists the flags the command reads and --config, and no other
+    assert _exit_code([command, "--help"]) == 0
+    listed = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out)) - {"--help"}
+    assert listed == {"--config", *("--" + k.replace("_", "-") for k in keys)}
+    if key in keys:
+        # a flag the command reads changes at least one byte of what it writes
+        base, values = _PROBE[command]
+        code, before = _run_in(tmp_path / "base", monkeypatch, [command, *_argv(base)])
+        assert code == 0 and before
+        changed = [command, *_argv({**base, key: values[key]})]
+        code, after = _run_in(tmp_path / "changed", monkeypatch, changed)
+        assert code == 0 and after != before, changed
+        return
+    # a flag it does not read is a usage error, and the same key in a config
+    # file invalid configuration; neither writes anything
+    value = _ONE_FLAG[key][0]
+    cfg_file = tmp_path / "one.cfg"
+    cfg_file.write_text(f"{key} = {value}\n")
+    code, files = _run_in(tmp_path / "flag", monkeypatch, [command, flag, value])
+    assert code == 2 and not files
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    code, files = _run_in(tmp_path / "file", monkeypatch, [command, "--config", str(cfg_file)])
+    assert code == 2 and not files
+    assert capsys.readouterr().err.startswith(
+        f"invalid configuration: {command} takes no config key {key!r}"
+    )
+
+
+def test_cli_verify_takes_every_seed(tmp_path, capsys):
+    # a master seed outside [0, 2^64) is invalid configuration, and the top
+    # one runs every check: the offsets verify adds to it wrap around
+    out = tmp_path / "v"
+    assert cli.main(["verify", "--seed", "-100", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("invalid configuration: seed must lie in")
+    assert not out.exists()
+    assert cli.main(["verify", "--seed", str(2**64 - 1), "--out", str(out)]) == 0
+    lines = _read(out / "verify.csv").decode().splitlines()
+    assert len(lines) == 18
+    assert all(line.endswith(",true") for line in lines[1:])
 
 
 def test_verify_suite_passes_and_writes_csv(tmp_path):
