@@ -10,6 +10,12 @@ explicit command-line flags win. A value that is given replaces one field of
 default, except that wigner-check has its own n, p and replication count.
 An s given to the left spectral-study panel (whose points set s = p) is
 invalid configuration rather than dropped.
+BLAS runs on one thread: the module sets ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 before numpy loads,
+overriding the caller's values, so the output bytes do not depend on them
+(at p = 400 the radii moved by up to 8.5e-16 relative between one thread and
+two). A caller who wants more BLAS threads imports :mod:`sscavi.harness` and
+sets its own.
 Exit status: 0 on success; 1 when a verification check fails, on an I/O
 failure, or on a numerical failure (an eigensolver that does not converge, or
 an overflow in the stability analysis); 2 on invalid configuration.
@@ -17,14 +23,20 @@ an overflow in the stability analysis); 2 on invalid configuration.
 
 from __future__ import annotations
 
-import argparse
-import sys
-from dataclasses import replace
+import os
 
-from numpy.linalg import LinAlgError
+# before numpy loads, and outright: a caller's thread count must not change a byte
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from . import engines, harness
-from .harness import ConfigError, StudyConfig
+import argparse  # noqa: E402
+import sys  # noqa: E402
+from dataclasses import replace  # noqa: E402
+
+from numpy.linalg import LinAlgError  # noqa: E402
+
+from . import engines, harness  # noqa: E402
+from .harness import ConfigError, StudyConfig  # noqa: E402
 
 
 def _ints(text: str):
@@ -47,13 +59,13 @@ _FLAGS = {
     "sigma2": ("hyper.sigma2", float, None, "noise variance"),
     "amplitude": ("amplitude", float, None, "signal amplitude"),
     "scheme": ("scheme", _SCHEMES.get, tuple(_SCHEMES), "update scheme"),
-    "init": ("run.init", str, ("zero", "diagls"), "initialization"),
+    "init": ("run.init", str, engines.INITS, "initialization"),
     "max_iter": ("run.max_iter", int, None, "iteration cap"),
     "tol": ("run.tol", float, None, "sup-norm convergence tolerance"),
     "reps": ("replications", int, None, "replications per grid point"),
     "seed": ("master_seed", int, None, "master seed"),
     "out": ("out_dir", str, None, "output directory"),
-    "panel": ("panel", str, ("left", "right", "both"), "study panel"),
+    "panel": ("panel", str, harness.PANELS, "study panel"),
 }
 
 # The flags each command reads, in parser order: the parser offers a command no

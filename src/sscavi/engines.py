@@ -58,6 +58,8 @@ __all__ = [
 
 SEQUENTIAL = "sequential"
 PARALLEL = "parallel"
+# the initial means RunConfig accepts: all zeros, or the diagonal least-squares xty / d
+INITS = ("zero", "diagls")
 # coordinates per block of the sequential sweep's forward substitution (module docstring)
 _BLOCK = 256
 
@@ -78,18 +80,15 @@ class RunConfig:
     max_iter: int = 1000
     tol: float = 1e-8
     divergence_threshold: float = 1e8
-    init: str = "diagls"  # "zero" | "diagls" | "custom"
-    init_vector: Optional[np.ndarray] = None
+    init: str = "diagls"  # one of INITS
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if not (0.0 < self.tol < self.divergence_threshold):
             raise ValueError("need 0 < tol < divergence_threshold")
-        if self.init not in ("zero", "diagls", "custom"):
+        if self.init not in INITS:
             raise ValueError(f"unknown init {self.init!r}")
-        if self.init == "custom" and self.init_vector is None:
-            raise ValueError("custom init requires init_vector")
 
 
 @dataclass
@@ -192,12 +191,7 @@ def sweep_residuals(mu, alpha, pre: Precomputed, hyper: Hyperparams):
 def _initial_mu(cfg: RunConfig, pre: Precomputed) -> np.ndarray:
     if cfg.init == "zero":
         return np.zeros(pre.p)
-    if cfg.init == "diagls":
-        return pre.xty / pre.d
-    mu0 = np.ascontiguousarray(cfg.init_vector, dtype=np.float64)
-    if mu0.shape != (pre.p,):
-        raise ValueError("init_vector has the wrong length")
-    return mu0.copy()
+    return pre.xty / pre.d
 
 
 def _iterate(mu, alpha, sweep, alpha_of, cfg: RunConfig, record=None):

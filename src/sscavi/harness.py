@@ -18,7 +18,7 @@ import numpy as np
 
 from . import engines, stability, svgplot, verify
 from .model import Hyperparams, precompute
-from .synth import GenSpec, gen_design, make_dataset, replicate_seed
+from .synth import SEED_BOUND, GenSpec, gen_design, make_dataset, replicate_seed
 
 __all__ = [
     "StudyConfig",
@@ -32,6 +32,8 @@ __all__ = [
     "write_csv",
 ]
 
+# the spectral-study panels StudyConfig accepts: the left grid over p = s, the right over s
+PANELS = ("left", "right", "both")
 DEFAULT_LEFT_P_GRID = (10, 20, 30, 40, 50)
 DEFAULT_RIGHT_S_GRID = (5, 15, 25, 35, 45)
 
@@ -74,11 +76,11 @@ class StudyConfig:
                 raise ConfigError(f"{name} grid must be nonempty")
             if any(int(v) < 0 for v in grid):
                 raise ConfigError(f"{name} grid must be nonnegative")
-        if not 0 <= self.master_seed < 2**64:
+        if not 0 <= self.master_seed < SEED_BOUND:
             raise ConfigError("seed must lie in [0, 2^64)")
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
-        if self.panel not in ("left", "right", "both"):
+        if self.panel not in PANELS:
             raise ConfigError(f"unknown panel {self.panel!r}")
 
 

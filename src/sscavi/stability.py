@@ -64,17 +64,19 @@ def _finite_mean(mu_star) -> np.ndarray:
     return mu_star
 
 
-def _alpha_and_grad(mu_star, pre, hyper, alpha_override):
-    """Inclusion probabilities and their mean-derivatives; overrides pin both."""
-    alpha = engines._resolve_alpha(mu_star, pre, hyper, alpha_override)
-    if alpha_override is not None:
-        return alpha, np.zeros_like(alpha)
-    return alpha, inclusion_prob_grad(mu_star, pre.a, alpha)
+def _linearization(mu_star, pre, hyper):
+    """alpha(mu), its mean-derivative alpha' and w = alpha + alpha' * mu.
+
+    diag(w) is the derivative of alpha(mu) * mu, the vector through which the
+    entry iterate reaches both sweeps' right-hand sides: the one statement of
+    w for both Jacobians and the parallel radius.
+    """
+    alpha = inclusion_prob(mu_star, pre.a, hyper)
+    grad = inclusion_prob_grad(mu_star, pre.a, alpha)
+    return alpha, grad, alpha + grad * mu_star
 
 
-def jacobian_seq(
-    mu_star, pre: Precomputed, hyper: Hyperparams, alpha_override=None
-) -> np.ndarray:
+def jacobian_seq(mu_star, pre: Precomputed, hyper: Hyperparams) -> np.ndarray:
     """Analytic Jacobian of the frozen-probability sequential sweep at ``mu_star``.
 
     This is the package's one sequential map, :func:`engines.seq_sweep`: the
@@ -82,29 +84,31 @@ def jacobian_seq(
     (:func:`engines.seq_sweep_system`) and alpha = alpha(mu) frozen at the
     entry iterate, so rho_seq is the radius of this map. Differentiating
     that system gives one triangular solve with a p x p right-hand side,
-    J = -T^{-1} [L^T diag(alpha + alpha' * mu) + L diag(alpha' * S(mu))],
+    J = -T^{-1} [L^T diag(w) + L diag(alpha' * S(mu))], w = alpha + alpha' * mu,
     exact at any ``mu_star``, not only at fixed points (where S(mu) = mu).
     """
     mu_star = _finite_mean(mu_star)
-    alpha, grad = _alpha_and_grad(mu_star, pre, hyper, alpha_override)
-    swept = engines.seq_sweep(mu_star, pre, hyper, alpha_override=alpha)
+    alpha, grad, w = _linearization(mu_star, pre, hyper)
+    # alpha is alpha(mu): the sweep takes it rather than evaluating it again
+    swept = engines.seq_sweep(mu_star, pre, hyper, alpha)
     low = pre.xtx_lower
-    rhs = low.T * (alpha + grad * mu_star) + low * (grad * swept)
+    rhs = low.T * w + low * (grad * swept)
     return -solve_triangular(engines.seq_sweep_system(alpha, pre, slice(None)), rhs, lower=True)
 
 
-def jacobian_par(
-    mu_star, pre: Precomputed, hyper: Hyperparams, alpha_override=None
-) -> np.ndarray:
+def jacobian_par(mu_star, pre: Precomputed, hyper: Hyperparams) -> np.ndarray:
     """Analytic Jacobian of the parallel one-sweep map at ``mu_star``.
 
-    Closed form: -D^{-1} (L + L^T) diag(alpha + alpha' * mu), L the strict
-    lower Gram triangle.
+    Closed form: -D^{-1} (L + L^T) diag(w), w = alpha + alpha' * mu, L the
+    strict lower Gram triangle. Production takes rho_par from
+    :func:`_par_radius` and never forms this matrix; it is the oracle that
+    :mod:`sscavi.verify` and the tests hold that radius and the
+    finite-difference Jacobian to.
     """
     mu_star = _finite_mean(mu_star)
-    alpha, grad = _alpha_and_grad(mu_star, pre, hyper, alpha_override)
+    _, _, w = _linearization(mu_star, pre, hyper)
     offdiag_full = pre.xtx_lower + pre.xtx_lower.T
-    return -(offdiag_full * (alpha + grad * mu_star)[None, :]) / pre.d[:, None]
+    return -(offdiag_full * w[None, :]) / pre.d[:, None]
 
 
 def _krylov_radius(matvec, p: int, symmetric: bool, dense_eigvals):
@@ -145,8 +149,8 @@ def _par_radius(mu_star, pre: Precomputed, hyper: Hyperparams) -> float:
     ``eigvalsh`` solves it.
     """
     mu_star = np.asarray(mu_star, dtype=np.float64)
-    alpha, grad = _alpha_and_grad(mu_star, pre, hyper, None)
-    r = np.sqrt((alpha + grad * mu_star) / pre.d)
+    _, _, w = _linearization(mu_star, pre, hyper)
+    r = np.sqrt(w / pre.d)
     sym_lower = pre.xtx_lower * np.outer(r, r)
     if not np.all(np.isfinite(sym_lower)):
         raise ValueError("spectral_radius expects finite entries")

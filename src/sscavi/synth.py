@@ -17,6 +17,7 @@ import numpy as np
 from .model import Dataset
 
 __all__ = [
+    "SEED_BOUND",
     "GenSpec",
     "gen_design",
     "gen_response",
@@ -26,7 +27,9 @@ __all__ = [
     "replicate_seed",
 ]
 
-_MASK64 = (1 << 64) - 1
+# every seed lies in [0, SEED_BOUND): the splitmix64 and Philox key width
+SEED_BOUND = 1 << 64
+_MASK64 = SEED_BOUND - 1
 # fixed stream offsets folded into the master seed before mixing
 _DESIGN_STREAM = 0x9E3779B97F4A7C15
 _NOISE_STREAM = 0xD1B54A32D192ED03
@@ -69,7 +72,7 @@ class GenSpec:
             raise ValueError("amplitude must be finite")
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be nonnegative")
-        if not (0 <= int(self.seed) <= _MASK64):
+        if not (0 <= int(self.seed) < SEED_BOUND):
             raise ValueError("seed must lie in [0, 2^64)")
 
 

@@ -32,7 +32,7 @@ from .model import (
     inclusion_prob_grad,
     precompute,
 )
-from .synth import _MASK64, GenSpec, make_dataset
+from .synth import SEED_BOUND, GenSpec, make_dataset
 
 
 class CheckResult(NamedTuple):
@@ -317,7 +317,7 @@ def run_checks(
 
     def offset(k):
         # folded into [0, 2^64), so that every seed GenSpec takes runs
-        return (seed + k) & _MASK64
+        return (seed + k) % SEED_BOUND
 
     results: List[CheckResult] = []
     hyper = Hyperparams(pi=0.5, tau=1.0, sigma2=1.0)

@@ -423,9 +423,3 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         Scheme("diagonal")
 
-
-def test_zero_init_matches_custom_zero_vector():
-    ds, pre = _random_instance(50, 10, 5, seed=9)
-    t1 = run(ds, HYPER, Scheme(), RunConfig(init="zero"), pre=pre)
-    t2 = run(ds, HYPER, Scheme(), RunConfig(init="custom", init_vector=np.zeros(10)), pre=pre)
-    np.testing.assert_array_equal(t1.final_state.mu, t2.final_state.mu)

@@ -159,13 +159,14 @@ def test_parse_config_file(tmp_path):
         harness.parse_config_file(str(bad))
 
 
-def _cli_subprocess(argv):
-    """Run the CLI in a fresh interpreter, so its stderr is exactly what a user sees."""
+def _cli_subprocess(argv, **env):
+    """Run the CLI in a fresh interpreter, so its stderr is exactly what a user
+    sees; ``env`` adds to or replaces the caller's environment variables."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "sscavi.cli", *argv], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=path), timeout=120,
+        env=dict(os.environ, PYTHONPATH=path, **env), timeout=120,
     )
 
 
@@ -613,3 +614,18 @@ def test_cli_spectral_study_deterministic(tmp_path):
     assert cli.main(args + ["--out", out_a]) == 0
     assert cli.main(args + ["--out", out_b]) == 0
     assert _read(os.path.join(out_a, "rho.csv")) == _read(os.path.join(out_b, "rho.csv"))
+
+
+def test_cli_bytes_do_not_depend_on_the_callers_blas_threads(tmp_path):
+    # p = 110 is above the ARPACK crossover; unpinned, one and two OpenBLAS
+    # threads give radii that differ in their last bits here
+    argv = ["spectral-study", "--panel", "right", "--n", "220", "--p", "110", "--s", "30",
+            "--reps", "2"]
+    written = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / threads)
+        proc = _cli_subprocess(argv + ["--out", out], OPENBLAS_NUM_THREADS=threads,
+                               OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        written.append(_read(os.path.join(out, "rho.csv")))
+    assert written[0] == written[1]

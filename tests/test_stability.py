@@ -45,32 +45,38 @@ def test_jacobians_vanish_for_single_coordinate():
     assert spectral_radius(jacobian_seq(mu_star, pre, HYPER)) == 0.0
 
 
+def _textbook_splittings(pre):
+    """Gauss-Seidel and Jacobi iteration matrices of M = D + (L + L^T) diag(alpha(0)).
+
+    At mu = 0 the derivative alpha' = alpha (1 - alpha) a mu vanishes, so
+    w = alpha(0), and both Jacobians are the classical splittings of M.
+    """
+    alpha0 = inclusion_prob(np.zeros(pre.p), pre.a, HYPER)
+    m = ridge_system(pre) * alpha0[None, :]
+    np.fill_diagonal(m, pre.d)
+    gs_matrix = -np.linalg.solve(np.tril(m), np.triu(m, 1))
+    jacobi_matrix = -(m - np.diag(np.diag(m))) / np.diag(m)[:, None]
+    return gs_matrix, jacobi_matrix
+
+
 def test_pinned_jacobians_are_classical_iteration_matrices():
     ds = make_dataset(GenSpec(n=60, p=10, s=5, seed=17))
     pre = precompute(ds, HYPER)
-    ridge = ridge_system(pre)
+    gs_matrix, jacobi_matrix = _textbook_splittings(pre)
     mu = np.zeros(10)
-    ones = np.ones(10)
-    gs_matrix = -np.linalg.solve(np.tril(ridge), np.triu(ridge, 1))
-    jacobi_matrix = -(ridge - np.diag(np.diag(ridge))) / np.diag(ridge)[:, None]
-    np.testing.assert_allclose(
-        jacobian_seq(mu, pre, HYPER, alpha_override=ones), gs_matrix, atol=1e-10
-    )
-    np.testing.assert_allclose(
-        jacobian_par(mu, pre, HYPER, alpha_override=ones), jacobi_matrix, atol=1e-12
-    )
+    np.testing.assert_allclose(jacobian_seq(mu, pre, HYPER), gs_matrix, atol=1e-10)
+    np.testing.assert_allclose(jacobian_par(mu, pre, HYPER), jacobi_matrix, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_pinned_spectral_radii_match_textbook_splittings(seed):
     ds = make_dataset(GenSpec(n=60, p=10, s=5, seed=seed + 200))
     pre = precompute(ds, HYPER)
-    ridge = ridge_system(pre)
-    ones = np.ones(10)
-    rho_gs = spectral_radius(-np.linalg.solve(np.tril(ridge), np.triu(ridge, 1)))
-    rho_jac = spectral_radius(-(ridge - np.diag(np.diag(ridge))) / np.diag(ridge)[:, None])
-    assert spectral_radius(jacobian_seq(np.zeros(10), pre, HYPER, alpha_override=ones)) == pytest.approx(rho_gs, abs=1e-8)
-    assert spectral_radius(jacobian_par(np.zeros(10), pre, HYPER, alpha_override=ones)) == pytest.approx(rho_jac, abs=1e-8)
+    gs_matrix, jacobi_matrix = _textbook_splittings(pre)
+    mu = np.zeros(10)
+    rho_gs, rho_jac = spectral_radius(gs_matrix), spectral_radius(jacobi_matrix)
+    assert spectral_radius(jacobian_seq(mu, pre, HYPER)) == pytest.approx(rho_gs, abs=1e-8)
+    assert spectral_radius(jacobian_par(mu, pre, HYPER)) == pytest.approx(rho_jac, abs=1e-8)
 
 
 def test_jacobians_match_finite_differences():
