@@ -17,8 +17,10 @@ overriding the caller's values, so the output bytes do not depend on them
 two). A caller who wants more BLAS threads imports :mod:`sscavi.harness` and
 sets its own.
 Exit status: 0 on success; 1 when a verification check fails, on an I/O
-failure, or on a numerical failure (an eigensolver that does not converge, or
-an overflow in the stability analysis); 2 on invalid configuration.
+failure, on a numerical failure (an eigensolver that does not converge, or
+an overflow in the stability analysis), or when an array does not fit in
+memory ("out of memory: ..."); 2 on invalid configuration, which includes a
+config file that is not UTF-8 or that gives one key twice.
 """
 
 from __future__ import annotations
@@ -152,6 +154,9 @@ def main(argv=None) -> int:
         return 1
     except (LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -2,9 +2,10 @@
 
 The sequential scheme reuses freshly updated coordinates within a sweep
 (Gauss-Seidel ordering); the parallel scheme updates every coordinate from the
-previous iterate (Jacobi ordering). Both sweeps freeze the inclusion
-probabilities at their entry values (the mu-block map), so a sequential sweep
-is one lower-triangular solve with T = D + L diag(alpha). The per-coordinate
+previous iterate (Jacobi ordering). Both sweeps take the inclusion
+probabilities alpha from the caller and hold them frozen (the mu-block map),
+so a sequential sweep is one lower-triangular solve with T = D + L diag(alpha);
+the drivers evaluate alpha at each entry iterate. The per-coordinate
 map, which refreshes each probability right after its own mean, shares the
 fixed points but is not shipped; :func:`sscavi.verify.coordinate_seq_sweep` is
 its reference. Both schemes become linear splitting iterations for the ridge
@@ -122,12 +123,6 @@ class FixedPointError(RuntimeError):
         self.trace = trace
 
 
-def _resolve_alpha(mu, pre, hyper, alpha_override):
-    if alpha_override is not None:
-        return np.ascontiguousarray(alpha_override, dtype=np.float64)
-    return inclusion_prob(mu, pre.a, hyper)
-
-
 def seq_sweep_system(alpha, pre: Precomputed, block: slice) -> np.ndarray:
     """The diagonal ``block`` of the sequential sweep's system T = D + L diag(alpha).
 
@@ -139,24 +134,20 @@ def seq_sweep_system(alpha, pre: Precomputed, block: slice) -> np.ndarray:
     return sweep_sys
 
 
-def seq_sweep(mu, pre: Precomputed, hyper: Hyperparams, alpha_override=None) -> np.ndarray:
-    """One sequential sweep starting from ``mu``.
+def seq_sweep(mu, alpha, pre: Precomputed) -> np.ndarray:
+    """One sequential sweep starting from ``mu``, with the probabilities frozen at ``alpha``.
 
-    The probabilities stay frozen at their entry values, so the sweep is one
-    Gauss-Seidel step: it solves the lower-triangular system
+    The sweep is one Gauss-Seidel step: it solves the lower-triangular system
     ``(D + L diag(alpha)) mu' = xty - L^T (alpha * mu)``, L the strict lower
     Gram triangle, by blocks of ``_BLOCK`` coordinates: block k subtracts
     ``L[k, :k] (alpha * mu')[:k]`` (one GEMV on the means already solved;
     the first block has none), builds only its own diagonal block of the
     system and solves it with ``dtrsv``. No p x p array is written above
     ``_BLOCK`` coordinates; up to that, the one block is the whole system.
-    ``alpha_override`` pins the probabilities explicitly (e.g.
-    all ones for the ridge degeneracy). Non-finite inputs give non-finite
-    outputs rather than an exception, so :func:`run` can report them as
-    divergence.
+    Non-finite inputs give non-finite outputs rather than an exception, so
+    :func:`run` can report them as divergence.
     """
     mu = np.ascontiguousarray(mu, dtype=np.float64)
-    alpha = _resolve_alpha(mu, pre, hyper, alpha_override)
     rhs = pre.xty - pre.xtx_lower.T @ (alpha * mu)
     low = pre.xtx_lower
     for start in range(0, pre.p, _BLOCK):
@@ -170,21 +161,18 @@ def seq_sweep(mu, pre: Precomputed, hyper: Hyperparams, alpha_override=None) -> 
     return rhs
 
 
-def par_sweep(
-    mu, pre: Precomputed, hyper: Hyperparams, alpha_override=None
-) -> np.ndarray:
+def par_sweep(mu, alpha, pre: Precomputed) -> np.ndarray:
     """One parallel sweep starting from ``mu``: D^{-1}(xty - (L + L^T)(alpha * mu))."""
     mu = np.ascontiguousarray(mu, dtype=np.float64)
-    alpha = _resolve_alpha(mu, pre, hyper, alpha_override)
     # the stored triangle, read as the upper triangle of its Fortran-ordered transpose
     coupled = dsymv(1.0, pre.xtx_lower.T, alpha * mu, lower=0)
     return (pre.xty - coupled) / pre.d
 
 
-def sweep_residuals(mu, alpha, pre: Precomputed, hyper: Hyperparams):
+def sweep_residuals(mu, alpha, pre: Precomputed):
     """Sup-norm residuals ``(seq, par)`` of both sweeps at ``mu``, with ``alpha`` frozen."""
-    seq = seq_sweep(mu, pre, hyper, alpha_override=alpha)
-    par = par_sweep(mu, pre, hyper, alpha_override=alpha)
+    seq = seq_sweep(mu, alpha, pre)
+    par = par_sweep(mu, alpha, pre)
     return float(np.max(np.abs(seq - mu))), float(np.max(np.abs(par - mu)))
 
 
@@ -194,8 +182,8 @@ def _initial_mu(cfg: RunConfig, pre: Precomputed) -> np.ndarray:
     return pre.xty / pre.d
 
 
-def _iterate(mu, alpha, sweep, alpha_of, cfg: RunConfig, record=None):
-    """Iterate ``mu <- sweep(mu, alpha)`` under the one stop rule of both drivers.
+def _iterate(mu, alpha, sweep, alpha_of, pre: Precomputed, cfg: RunConfig, record=None):
+    """Iterate ``mu <- sweep(mu, alpha, pre)`` under the one stop rule of both drivers.
 
     ``alpha`` is the inclusion probability of the entry iterate and
     ``alpha_of`` recomputes it once per new iterate, so each sweep reuses the
@@ -207,7 +195,7 @@ def _iterate(mu, alpha, sweep, alpha_of, cfg: RunConfig, record=None):
     Returns ``(status, n_iter, mu, alpha)``.
     """
     for t in range(1, cfg.max_iter + 1):
-        mu_new = sweep(mu, alpha)
+        mu_new = sweep(mu, alpha, pre)
         finite = bool(np.all(np.isfinite(mu_new)))
         step = float(np.max(np.abs(mu_new - mu))) if finite else float("nan")
         mu = mu_new
@@ -239,15 +227,11 @@ def run(
     """
     if pre is None:
         pre = precompute(dataset, hyper)
-    alpha_override = np.ones(pre.p) if pin_alpha else None
+    sweep = par_sweep if scheme.variant == PARALLEL else seq_sweep
+    pinned = np.ones(pre.p) if pin_alpha else None
 
     def alpha_of(mu):
-        return _resolve_alpha(mu, pre, hyper, alpha_override)
-
-    def sweep(mu, alpha):
-        if scheme.variant == PARALLEL:
-            return par_sweep(mu, pre, hyper, alpha_override=alpha)
-        return seq_sweep(mu, pre, hyper, alpha_override=alpha)
+        return inclusion_prob(mu, pre.a, hyper) if pinned is None else pinned
 
     iterations, elbos, steps = [], [], []
 
@@ -261,7 +245,7 @@ def run(
     mu = _initial_mu(cfg, pre)
     alpha = alpha_of(mu)
     record(0, mu, alpha, float("nan"), True)
-    status, n_iter, mu, alpha = _iterate(mu, alpha, sweep, alpha_of, cfg, record)
+    status, n_iter, mu, alpha = _iterate(mu, alpha, sweep, alpha_of, pre, cfg, record)
     return RunTrace(status, n_iter, VariationalState(mu, alpha), iterations, elbos, steps)
 
 
@@ -289,17 +273,14 @@ def fixed_point(
     def alpha_of(mu):
         return inclusion_prob(mu, pre.a, hyper)
 
-    def sweep(mu, alpha):
-        return seq_sweep(mu, pre, hyper, alpha_override=alpha)
-
     mu = _initial_mu(cfg, pre)
-    status, n_iter, mu, alpha = _iterate(mu, alpha_of(mu), sweep, alpha_of, cfg)
+    status, n_iter, mu, alpha = _iterate(mu, alpha_of(mu), seq_sweep, alpha_of, pre, cfg)
     trace = RunTrace(status, n_iter, VariationalState(mu, alpha))
     if status != "converged":
         raise FixedPointError(f"sequential iteration did not converge (status {status})", trace)
 
     target = 10.0 * cfg.tol
-    seq_res, par_res = sweep_residuals(mu, alpha, pre, hyper)
+    seq_res, par_res = sweep_residuals(mu, alpha, pre)
     if not (seq_res < target and par_res < target):
         raise FixedPointError(
             f"fixed-point residuals (sequential {seq_res:.3g}, parallel {par_res:.3g}) "

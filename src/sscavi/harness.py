@@ -339,10 +339,14 @@ def cmd_wigner_check(cfg: StudyConfig):
 
 
 def parse_config_file(path: str) -> dict:
-    """key = value per line; '#' starts a comment; keys use flag names."""
+    """key = value per line of UTF-8; '#' starts a comment; keys use flag names.
+
+    A key may appear once: after ``-`` becomes ``_``, a second line for the
+    same key is invalid configuration rather than a silent replacement.
+    """
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -350,7 +354,10 @@ def parse_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
                 key, value = line.split("=", 1)
-                values[key.strip().lower().replace("-", "_")] = value.strip()
-    except OSError as exc:
+                key = key.strip().lower().replace("-", "_")
+                if key in values:
+                    raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
+                values[key] = value.strip()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values

@@ -1,6 +1,7 @@
 """Local stability operators for the two update maps.
 
-Analytic Jacobians of the one-sweep maps, spectral radii, the quadratic-form
+Analytic Jacobians of the one-sweep maps mu -> sweep(mu, alpha(mu)), stated
+once as :func:`sscavi.verify.sweep_map`, spectral radii, the quadratic-form
 contraction check (Assumption 1), and the normalized off-diagonal Gram
 statistic that drives parallel instability under Gaussian designs. The
 parallel radius and the contraction check run on symmetric operators; only
@@ -89,8 +90,7 @@ def jacobian_seq(mu_star, pre: Precomputed, hyper: Hyperparams) -> np.ndarray:
     """
     mu_star = _finite_mean(mu_star)
     alpha, grad, w = _linearization(mu_star, pre, hyper)
-    # alpha is alpha(mu): the sweep takes it rather than evaluating it again
-    swept = engines.seq_sweep(mu_star, pre, hyper, alpha)
+    swept = engines.seq_sweep(mu_star, alpha, pre)
     low = pre.xtx_lower
     rhs = low.T * w + low * (grad * swept)
     return -solve_triangular(engines.seq_sweep_system(alpha, pre, slice(None)), rhs, lower=True)
@@ -315,7 +315,7 @@ def analyze_stability(mu_star, pre: Precomputed, hyper: Hyperparams) -> Stabilit
     mu_star = _finite_mean(mu_star)
     with np.errstate(over="raise", invalid="raise"):
         alpha = inclusion_prob(mu_star, pre.a, hyper)
-        seq_residual, par_residual = engines.sweep_residuals(mu_star, alpha, pre, hyper)
+        seq_residual, par_residual = engines.sweep_residuals(mu_star, alpha, pre)
         flags = [] if max(seq_residual, par_residual) <= _RESIDUAL_TOL else ["not_fixed_point"]
         assumption = check_assumption1(mu_star, pre, hyper)
         return StabilityReport(

@@ -12,8 +12,10 @@ formulas, and the spectral radii against perturbation orbits. The
 per-coordinate sequential map, which the package does not ship, is kept here
 as a reference whose fixed points the tests hold to the production sweep's,
 and so is the dense ridge system that both pinned sweeps split
-(:func:`ridge_system`), of which the package stores only a triangle. No
-production code path uses these oracles.
+(:func:`ridge_system`), of which the package stores only a triangle, and the
+composition mu -> sweep(mu, alpha(mu)) (:func:`sweep_map`), since the
+production sweeps take alpha from their caller. No production code path uses
+these oracles.
 """
 
 from __future__ import annotations
@@ -94,6 +96,16 @@ def coordinate_seq_sweep(mu, alpha, pre, refresh_hyper: Optional[Hyperparams] = 
         if refresh_hyper is not None:
             alpha[j] = inclusion_prob(mu_new[j], pre.a[j], refresh_hyper)
     return mu_new
+
+
+def sweep_map(sweep: Callable, pre, hyper: Hyperparams) -> Callable:
+    """The one-sweep map mu -> sweep(mu, alpha(mu), pre), alpha evaluated at the entry iterate.
+
+    ``sweep`` is :func:`engines.seq_sweep` or :func:`engines.par_sweep`. This is
+    the map whose Jacobians :mod:`sscavi.stability` states, and the one the
+    finite-difference and orbit oracles here differentiate and iterate.
+    """
+    return lambda mu: sweep(mu, inclusion_prob(mu, pre.a, hyper), pre)
 
 
 def fd_jacobian(map_fn: Callable, mu_star, h: float = 1e-6) -> np.ndarray:
@@ -329,11 +341,11 @@ def run_checks(
     mu = rng.standard_normal(8)
     alpha = inclusion_prob(mu, pre.a, hyper)
     seq_diff = float(
-        np.max(np.abs(engines.seq_sweep(mu, pre, hyper) - coordinate_seq_sweep(mu, alpha, pre)))
+        np.max(np.abs(engines.seq_sweep(mu, alpha, pre) - coordinate_seq_sweep(mu, alpha, pre)))
     )
     par_diff = float(
         np.max(np.abs(
-            engines.par_sweep(mu, pre, hyper)
+            engines.par_sweep(mu, alpha, pre)
             - textbook_jacobi_sweep(ridge_system(pre), pre.xty, alpha * mu)
         ))
     )
@@ -344,15 +356,16 @@ def run_checks(
     state = engines.fixed_point(ds, hyper, engines.RunConfig(), pre=pre)
     jac_seq = stability.jacobian_seq(state.mu, pre, hyper)
     jac_par = stability.jacobian_par(state.mu, pre, hyper)
-    fd_seq = fd_jacobian(lambda m: engines.seq_sweep(m, pre, hyper), state.mu)
-    fd_par = fd_jacobian(lambda m: engines.par_sweep(m, pre, hyper), state.mu)
+    seq_map = sweep_map(engines.seq_sweep, pre, hyper)
+    fd_seq = fd_jacobian(seq_map, state.mu)
+    fd_par = fd_jacobian(sweep_map(engines.par_sweep, pre, hyper), state.mu)
     err_seq = float(np.max(np.abs(jac_seq - fd_seq) / (1.0 + np.abs(fd_seq))))
     err_par = float(np.max(np.abs(jac_par - fd_par) / (1.0 + np.abs(fd_par))))
     results.append(CheckResult("fd_jacobian_seq", err_seq, 1e-5, err_seq < 1e-5))
     results.append(CheckResult("fd_jacobian_par", err_par, 1e-5, err_par < 1e-5))
 
     for h in (1e-5, 1e-6, 1e-7):
-        fd_h = fd_jacobian(lambda m: engines.seq_sweep(m, pre, hyper), state.mu, h=h)
+        fd_h = fd_jacobian(seq_map, state.mu, h=h)
         err_h = float(np.max(np.abs(jac_seq - fd_h) / (1.0 + np.abs(fd_h))))
         # reported for the h-sensitivity profile, not asserted
         results.append(CheckResult(f"fd_h_sweep_{h:.0e}", err_h, float("nan"), True))
@@ -374,13 +387,13 @@ def run_checks(
     ones = np.ones(10)
     gs_diff = float(
         np.max(np.abs(
-            engines.seq_sweep(x0, pre_ridge, hyper, alpha_override=ones)
+            engines.seq_sweep(x0, ones, pre_ridge)
             - textbook_gauss_seidel_sweep(ridge_sys, pre_ridge.xty, x0)
         ))
     )
     jac_diff = float(
         np.max(np.abs(
-            engines.par_sweep(x0, pre_ridge, hyper, alpha_override=ones)
+            engines.par_sweep(x0, ones, pre_ridge)
             - textbook_jacobi_sweep(ridge_sys, pre_ridge.xty, x0)
         ))
     )
@@ -398,9 +411,7 @@ def run_checks(
     results.append(CheckResult("par_radius_similarity", sim_diff, 1e-8, sim_diff < 1e-8))
 
     note("perturbation decay")
-    contract_ok = perturbation_decay(
-        lambda m: engines.seq_sweep(m, pre, hyper), state.mu, trials=10, iters=80, seed=seed
-    )
+    contract_ok = perturbation_decay(seq_map, state.mu, trials=10, iters=80, seed=seed)
     results.append(
         CheckResult("perturbation_contract_seq", 1.0 if contract_ok else 0.0, 0.5, contract_ok)
     )
@@ -408,7 +419,7 @@ def run_checks(
     pre_dense = precompute(ds_dense, hyper)
     state_dense = engines.fixed_point(ds_dense, hyper, engines.RunConfig(), pre=pre_dense)
     escape_ok = perturbation_decay(
-        lambda m: engines.par_sweep(m, pre_dense, hyper),
+        sweep_map(engines.par_sweep, pre_dense, hyper),
         state_dense.mu,
         trials=10,
         iters=80,
@@ -435,9 +446,10 @@ def run_checks(
     ds_block = make_dataset(GenSpec(n=1200, p=600, s=300, seed=offset(17)))
     pre_block = precompute(ds_block, hyper)
     mu = np.random.default_rng(offset(17)).standard_normal(600)
-    expected = coordinate_seq_sweep(mu, inclusion_prob(mu, pre_block.a, hyper), pre_block)
+    alpha = inclusion_prob(mu, pre_block.a, hyper)
+    expected = coordinate_seq_sweep(mu, alpha, pre_block)
     block_err = float(
-        np.max(np.abs(engines.seq_sweep(mu, pre_block, hyper) - expected))
+        np.max(np.abs(engines.seq_sweep(mu, alpha, pre_block) - expected))
         / np.max(np.abs(expected))
     )
     results.append(

@@ -22,6 +22,7 @@ from sscavi.verify import (
     fd_jacobian,
     mc_expected_loglik,
     ridge_system,
+    sweep_map,
     textbook_gauss_seidel_sweep,
     textbook_jacobi_sweep,
 )
@@ -116,7 +117,7 @@ def test_c05_jacobian_finite_difference_oracle():
             (stability.jacobian_par, engines.par_sweep),
         ):
             jac = jac_fn(state.mu, pre, HYPER)
-            fd = fd_jacobian(lambda m: sweep(m, pre, HYPER), state.mu)
+            fd = fd_jacobian(sweep_map(sweep, pre, HYPER), state.mu)
             worst = max(worst, float(np.max(np.abs(jac - fd) / (1 + np.abs(fd)))))
     _criterion(5, worst < 1e-5, f"max FD relative error {worst:.3g} (need < 1e-5)")
 
@@ -136,11 +137,11 @@ def test_c06_pinned_degeneracy_oracle():
         max_sweep = max(
             max_sweep,
             float(np.max(np.abs(
-                engines.seq_sweep(x, pre, HYPER, alpha_override=ones)
+                engines.seq_sweep(x, ones, pre)
                 - textbook_gauss_seidel_sweep(ridge, pre.xty, x)
             ))),
             float(np.max(np.abs(
-                engines.par_sweep(x, pre, HYPER, alpha_override=ones)
+                engines.par_sweep(x, ones, pre)
                 - textbook_jacobi_sweep(ridge, pre.xty, x)
             ))),
         )

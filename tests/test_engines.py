@@ -46,8 +46,9 @@ def test_single_coordinate_sweeps_ignore_state():
     expected = pre.xty[0] / pre.d[0]
     for mu0 in (-5.0, 0.0, 7.0):
         mu = np.array([mu0])
-        assert seq_sweep(mu, pre, HYPER)[0] == pytest.approx(expected)
-        assert par_sweep(mu, pre, HYPER)[0] == pytest.approx(expected)
+        alpha = inclusion_prob(mu, pre.a, HYPER)
+        assert seq_sweep(mu, alpha, pre)[0] == pytest.approx(expected)
+        assert par_sweep(mu, alpha, pre)[0] == pytest.approx(expected)
 
 
 def test_orthogonal_design_sweeps_coincide():
@@ -58,8 +59,9 @@ def test_orthogonal_design_sweeps_coincide():
     target = pre.xty / pre.d
     for _ in range(3):
         mu = rng.standard_normal(4)
-        np.testing.assert_allclose(seq_sweep(mu, pre, HYPER), target, atol=1e-14)
-        np.testing.assert_allclose(par_sweep(mu, pre, HYPER), target, atol=1e-14)
+        alpha = inclusion_prob(mu, pre.a, HYPER)
+        np.testing.assert_allclose(seq_sweep(mu, alpha, pre), target, atol=1e-14)
+        np.testing.assert_allclose(par_sweep(mu, alpha, pre), target, atol=1e-14)
 
 
 def test_sweep_dual_forms_agree():
@@ -69,10 +71,10 @@ def test_sweep_dual_forms_agree():
         mu = rng.standard_normal(8)
         alpha = inclusion_prob(mu, pre.a, HYPER)
         np.testing.assert_allclose(
-            seq_sweep(mu, pre, HYPER), coordinate_seq_sweep(mu, alpha, pre), atol=1e-10
+            seq_sweep(mu, alpha, pre), coordinate_seq_sweep(mu, alpha, pre), atol=1e-10
         )
         np.testing.assert_allclose(
-            par_sweep(mu, pre, HYPER),
+            par_sweep(mu, alpha, pre),
             textbook_jacobi_sweep(ridge_system(pre), pre.xty, alpha * mu),
             atol=1e-10,
         )
@@ -93,7 +95,7 @@ def test_seq_sweep_coordinate_recursion_explicit():
         for l in range(j + 1, 6):
             acc -= gram[j, l] * alpha[l] * mu[l]
         expected[j] = acc / pre.d[j]
-    np.testing.assert_allclose(seq_sweep(mu, pre, HYPER), expected, atol=1e-13)
+    np.testing.assert_allclose(seq_sweep(mu, alpha, pre), expected, atol=1e-13)
 
 
 entries = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_subnormal=False)
@@ -103,7 +105,7 @@ probs = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_valu
 @st.composite
 def sweep_inputs(draw):
     """A design with p in [1, 12], optionally one zero column, a mean vector
-    and either no override or an alpha override with exact 0s and 1s."""
+    and either None, for alpha(mu), or a drawn alpha with exact 0s and 1s."""
     p = draw(st.integers(min_value=1, max_value=12))
     n = draw(st.integers(min_value=1, max_value=15))
     X = draw(arrays(np.float64, (n, p), elements=entries))
@@ -116,11 +118,11 @@ def sweep_inputs(draw):
     return Dataset(X=X, y=y), mu, alpha
 
 
-def _assert_matches_coordinate_loop(ds, mu, alpha_override):
+def _assert_matches_coordinate_loop(ds, mu, drawn_alpha):
     pre = precompute(ds, HYPER)
-    alpha = inclusion_prob(mu, pre.a, HYPER) if alpha_override is None else alpha_override
+    alpha = inclusion_prob(mu, pre.a, HYPER) if drawn_alpha is None else drawn_alpha
     expected = coordinate_seq_sweep(mu, alpha, pre)
-    got = seq_sweep(mu, pre, HYPER, alpha_override=alpha_override)
+    got = seq_sweep(mu, alpha, pre)
     scale = max(float(np.max(np.abs(expected))), np.finfo(float).tiny)
     assert np.max(np.abs(got - expected)) <= 1e-12 * scale
 
@@ -166,13 +168,13 @@ def test_blocked_seq_sweep_matches_coordinate_loop(drawn):
 @settings(max_examples=60, deadline=None)
 def test_sweep_residuals_match_direct_sweeps(drawn):
     # the one residual site agrees with the direct sweeps, on and across block boundaries
-    block, (ds, mu, alpha_override) = drawn
+    block, (ds, mu, drawn_alpha) = drawn
     pre = precompute(ds, HYPER)
-    alpha = inclusion_prob(mu, pre.a, HYPER) if alpha_override is None else alpha_override
+    alpha = inclusion_prob(mu, pre.a, HYPER) if drawn_alpha is None else drawn_alpha
     with mock.patch.object(engines, "_BLOCK", block):
-        seq_res, par_res = sweep_residuals(mu, alpha, pre, HYPER)
-        direct_seq = np.max(np.abs(seq_sweep(mu, pre, HYPER, alpha_override=alpha) - mu))
-    direct_par = np.max(np.abs(par_sweep(mu, pre, HYPER, alpha_override=alpha) - mu))
+        seq_res, par_res = sweep_residuals(mu, alpha, pre)
+        direct_seq = np.max(np.abs(seq_sweep(mu, alpha, pre) - mu))
+    direct_par = np.max(np.abs(par_sweep(mu, alpha, pre) - mu))
     tol = 1e-12 * max(1.0, float(np.max(np.abs(mu))))
     assert abs(seq_res - direct_seq) <= tol
     assert abs(par_res - direct_par) <= tol
@@ -206,7 +208,7 @@ def test_sweeps_propagate_nonfinite():
         mu = np.random.default_rng(2).standard_normal(p)
         mu[nan_at] = np.nan
         for sweep in (seq_sweep, par_sweep):
-            assert np.any(~np.isfinite(sweep(mu, pre, HYPER)))
+            assert np.any(~np.isfinite(sweep(mu, inclusion_prob(mu, pre.a, HYPER), pre)))
 
 
 def test_seq_sweep_allocates_no_square_system():
@@ -217,17 +219,16 @@ def test_seq_sweep_allocates_no_square_system():
     mu = pre.xty / pre.d
     tracemalloc.start()
     try:
-        seq_sweep(mu, pre, HYPER)
+        seq_sweep(mu, inclusion_prob(mu, pre.a, HYPER), pre)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
 
 
-def _whole_system_sweep(mu, pre, hyper, alpha_override=None):
+def _whole_system_sweep(mu, alpha, pre):
     """The unblocked sequential sweep: one ``dtrsv`` on the whole p x p system."""
     mu = np.ascontiguousarray(mu, dtype=np.float64)
-    alpha = engines._resolve_alpha(mu, pre, hyper, alpha_override)
     rhs = pre.xty - pre.xtx_lower.T @ (alpha * mu)
     return dtrsv(engines.seq_sweep_system(alpha, pre, slice(None)).T, rhs, lower=0, trans=1)
 
@@ -255,10 +256,9 @@ def test_per_coordinate_map_shares_fixed_points(shape):
         )
         assert np.max(np.abs(swept - mu_star)) < 10 * cfg.tol
         mu = pre.xty / pre.d  # the diagls init, far from the fixed point
-        refreshed = coordinate_seq_sweep(
-            mu, inclusion_prob(mu, pre.a, HYPER), pre, refresh_hyper=HYPER
-        )
-        assert not np.allclose(refreshed, seq_sweep(mu, pre, HYPER))
+        alpha = inclusion_prob(mu, pre.a, HYPER)
+        refreshed = coordinate_seq_sweep(mu, alpha, pre, refresh_hyper=HYPER)
+        assert not np.allclose(refreshed, seq_sweep(mu, alpha, pre))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -269,19 +269,19 @@ def test_pinned_sweeps_match_textbook_splittings(seed):
     x = rng.standard_normal(10)
     ones = np.ones(10)
     np.testing.assert_allclose(
-        seq_sweep(x, pre, HYPER, alpha_override=ones),
+        seq_sweep(x, ones, pre),
         textbook_gauss_seidel_sweep(ridge, pre.xty, x),
         atol=1e-12,
     )
     np.testing.assert_allclose(
-        par_sweep(x, pre, HYPER, alpha_override=ones),
+        par_sweep(x, ones, pre),
         textbook_jacobi_sweep(ridge, pre.xty, x),
         atol=1e-12,
     )
     # pinned at zero, every coordinate decouples: both sweeps give xty / d exactly
     zeros = np.zeros(10)
-    np.testing.assert_array_equal(seq_sweep(x, pre, HYPER, alpha_override=zeros), pre.xty / pre.d)
-    np.testing.assert_array_equal(par_sweep(x, pre, HYPER, alpha_override=zeros), pre.xty / pre.d)
+    np.testing.assert_array_equal(seq_sweep(x, zeros, pre), pre.xty / pre.d)
+    np.testing.assert_array_equal(par_sweep(x, zeros, pre), pre.xty / pre.d)
 
 
 def test_pinned_sequential_run_solves_ridge_system():
@@ -324,8 +324,9 @@ def test_fixed_point_residuals():
     ds, pre = _random_instance(200, 50, 25, seed=0)
     cfg = RunConfig(max_iter=500, tol=1e-8)
     state = fixed_point(ds, HYPER, cfg, pre=pre)
-    seq_res = np.max(np.abs(seq_sweep(state.mu, pre, HYPER) - state.mu))
-    par_res = np.max(np.abs(par_sweep(state.mu, pre, HYPER) - state.mu))
+    alpha = inclusion_prob(state.mu, pre.a, HYPER)
+    seq_res = np.max(np.abs(seq_sweep(state.mu, alpha, pre) - state.mu))
+    par_res = np.max(np.abs(par_sweep(state.mu, alpha, pre) - state.mu))
     assert seq_res < 10 * cfg.tol
     assert par_res < 10 * cfg.tol
 
@@ -338,7 +339,8 @@ def test_fixed_point_shared_within_operator_norm_slack():
         state = fixed_point(ds, HYPER, RunConfig(max_iter=500, tol=1e-8), pre=pre)
         eps = 1e-8
         growth = 1.0 + np.max(np.sum(np.abs(pre.xtx_lower / pre.d[:, None]), axis=1))
-        par_res = np.max(np.abs(par_sweep(state.mu, pre, HYPER) - state.mu))
+        alpha = inclusion_prob(state.mu, pre.a, HYPER)
+        par_res = np.max(np.abs(par_sweep(state.mu, alpha, pre) - state.mu))
         assert par_res < 100 * growth * eps
 
 

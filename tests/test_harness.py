@@ -153,10 +153,18 @@ def test_parse_config_file(tmp_path):
     path.write_text("n = 30\nmax-iter= 200\n# comment\n\ntol = 1e-6\n")
     values = harness.parse_config_file(str(path))
     assert values == {"n": "30", "max_iter": "200", "tol": "1e-6"}
-    bad = tmp_path / "bad.txt"
-    bad.write_text("just words\n")
-    with pytest.raises(ConfigError):
-        harness.parse_config_file(str(bad))
+    # a line without '=', a file that is not UTF-8, and one key given twice,
+    # also under both spellings
+    for name, content, message in (
+        ("bad.txt", b"just words\n", "expected 'key = value'"),
+        ("u16.cfg", "n = 10\n".encode("utf-16"), "cannot read config file"),
+        ("twice.cfg", b"n = 10\nn = 20\n", ":2: key 'n' given twice"),
+        ("spelt.cfg", b"max-iter = 10\nmax_iter = 20\n", ":2: key 'max_iter' given twice"),
+    ):
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            harness.parse_config_file(str(bad))
 
 
 def _cli_subprocess(argv, **env):
@@ -326,6 +334,34 @@ def test_cli_rejects_unknown_config_key(tmp_path):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("bogus = 1\n")
     assert cli.main(["gen-data", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+
+
+def test_cli_rejects_unreadable_or_repeated_config(tmp_path, capsys):
+    # a config file that is not UTF-8, or that gives a key twice, ends in exit
+    # 2 and writes nothing; the repeated key is named with its line
+    for name, content, message in (
+        ("u16.cfg", "n = 10\n".encode("utf-16"), "cannot read config file"),
+        ("twice.cfg", b"n = 10\nn = 20\n", "twice.cfg:2: key 'n' given twice"),
+    ):
+        cfg_file = tmp_path / name
+        cfg_file.write_bytes(content)
+        out = tmp_path / "out"
+        assert cli.main(["gen-data", "--config", str(cfg_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: ") and message in err
+        assert not out.exists()
+
+
+def test_cli_out_of_memory_exit(tmp_path):
+    # 10^9 x 10^9 doubles (6.94 EiB) exceed any address space, so numpy
+    # refuses the design at once and nothing is allocated
+    out = tmp_path / "huge"
+    proc = _cli_subprocess(["gen-data", "--n", "1000000000", "--p", "1000000000", "--s", "1",
+                            "--out", str(out)])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("out of memory: ")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line", ["scheme = sequential", "init = custom", "panel = top"])

@@ -24,6 +24,7 @@ from sscavi.verify import (
     gelfand_spectral_radius,
     perturbation_decay,
     ridge_system,
+    sweep_map,
 )
 
 HYPER = Hyperparams(pi=0.5, tau=1.0, sigma2=1.0)
@@ -84,8 +85,8 @@ def test_jacobians_match_finite_differences():
     # the fixed point, and a random point where the sweep moves mu (S(mu) != mu)
     off_point = np.random.default_rng(11).standard_normal(pre.p)
     for mu in (state.mu, off_point):
-        fd_seq = fd_jacobian(lambda m: engines.seq_sweep(m, pre, HYPER), mu)
-        fd_par = fd_jacobian(lambda m: engines.par_sweep(m, pre, HYPER), mu)
+        fd_seq = fd_jacobian(sweep_map(engines.seq_sweep, pre, HYPER), mu)
+        fd_par = fd_jacobian(sweep_map(engines.par_sweep, pre, HYPER), mu)
         err_seq = np.max(np.abs(jacobian_seq(mu, pre, HYPER) - fd_seq) / (1 + np.abs(fd_seq)))
         err_par = np.max(np.abs(jacobian_par(mu, pre, HYPER) - fd_par) / (1 + np.abs(fd_par)))
         assert err_seq < 1e-5
@@ -109,7 +110,7 @@ def test_dropping_inhomogeneous_term_breaks_fd_match():
     h_columns = -low_solved * (grad * h_vec)[None, :]
 
     mutated = jacobian_seq(state.mu, pre, HYPER) - h_columns
-    fd = fd_jacobian(lambda m: engines.seq_sweep(m, pre, HYPER), state.mu)
+    fd = fd_jacobian(sweep_map(engines.seq_sweep, pre, HYPER), state.mu)
     err = np.max(np.abs(mutated - fd) / (1 + np.abs(fd)))
     assert err > 1e-5
 
@@ -396,9 +397,10 @@ def test_analyze_stability_report_fields():
     off_report = analyze_stability(off_mu, pre, HYPER)
     assert "not_fixed_point" in off_report.flags
     # both residuals agree with the direct sweeps at a point that is not fixed
+    off_alpha = inclusion_prob(off_mu, pre.a, HYPER)
     for got, sweep in ((off_report.seq_residual, engines.seq_sweep),
                        (off_report.par_residual, engines.par_sweep)):
-        direct = np.max(np.abs(sweep(off_mu, pre, HYPER) - off_mu))
+        direct = np.max(np.abs(sweep(off_mu, off_alpha, pre) - off_mu))
         assert abs(got - direct) <= 1e-12 * direct
 
 
@@ -446,11 +448,11 @@ def test_perturbation_decay_linear_maps():
 def test_perturbation_decay_on_sweep_maps():
     ds, pre, state = _converged_instance(n=200, p=50, s=25, seed=0)
     assert perturbation_decay(
-        lambda m: engines.seq_sweep(m, pre, HYPER), state.mu, trials=8, iters=60
+        sweep_map(engines.seq_sweep, pre, HYPER), state.mu, trials=8, iters=60
     )
     ds2 = make_dataset(GenSpec(n=100, p=50, s=50, seed=1))
     pre2 = precompute(ds2, HYPER)
     state2 = engines.fixed_point(ds2, HYPER, engines.RunConfig(max_iter=500), pre=pre2)
     assert perturbation_decay(
-        lambda m: engines.par_sweep(m, pre2, HYPER), state2.mu, trials=8, iters=60
+        sweep_map(engines.par_sweep, pre2, HYPER), state2.mu, trials=8, iters=60
     )
