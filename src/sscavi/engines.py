@@ -15,15 +15,16 @@ The two maps share their fixed points; :func:`sweep_residuals` is the one
 place either map's residual at a point is computed.
 
 The sequential sweep is a forward substitution by blocks of ``_BLOCK`` = 256
-coordinates on the stored Gram triangle: every block after the first
-subtracts one GEMV over the means already solved, and each block solves its
-own diagonal block of T with ``dtrsv``, so no p x p array is written per
-sweep above 256 coordinates. Up to 256 coordinates there is one block, whose
-``dtrsv`` gets the whole T and right-hand side, so the sweep is one
-whole-system solve bit for bit. Timed at fixed points with one OpenBLAS
-thread on a 2-vCPU x86_64 machine (``BENCH_12.json``), blocks of 64 or 128
-were 12-18% faster than 256 at p = 400 and 1000, but blocks of 64 were
-slower than one solve at p = 200 (0.079 against 0.063 ms).
+coordinates on the stored Gram triangle. Its right-hand side
+xty - L^T (alpha * mu) is one ``dtrmv`` that reads only the triangle; every
+block after the first subtracts one GEMV over the means already solved, and
+each block solves its own diagonal block of T with ``dtrsv``, so no p x p
+array is written per sweep above 256 coordinates. Up to 256 coordinates
+there is one block, whose ``dtrsv`` gets the whole T and right-hand side, so
+the sweep is one whole-system solve bit for bit. Timed at fixed points with
+one OpenBLAS thread on a 2-vCPU x86_64 machine (``BENCH_12.json``), blocks
+of 64 or 128 were 12-18% faster than 256 at p = 400 and 1000, but blocks of
+64 were slower than one solve at p = 200 (0.079 against 0.063 ms).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.blas import dsymv, dtrsv
+from scipy.linalg.blas import dsymv, dtrmv, dtrsv
 
 from .model import (
     Dataset,
@@ -139,7 +140,8 @@ def seq_sweep(mu, alpha, pre: Precomputed) -> np.ndarray:
 
     The sweep is one Gauss-Seidel step: it solves the lower-triangular system
     ``(D + L diag(alpha)) mu' = xty - L^T (alpha * mu)``, L the strict lower
-    Gram triangle, by blocks of ``_BLOCK`` coordinates: block k subtracts
+    Gram triangle, whose right-hand side is one ``dtrmv`` on the stored
+    triangle, by blocks of ``_BLOCK`` coordinates: block k subtracts
     ``L[k, :k] (alpha * mu')[:k]`` (one GEMV on the means already solved;
     the first block has none), builds only its own diagonal block of the
     system and solves it with ``dtrsv``. No p x p array is written above
@@ -148,8 +150,9 @@ def seq_sweep(mu, alpha, pre: Precomputed) -> np.ndarray:
     :func:`run` can report them as divergence.
     """
     mu = np.ascontiguousarray(mu, dtype=np.float64)
-    rhs = pre.xty - pre.xtx_lower.T @ (alpha * mu)
     low = pre.xtx_lower
+    # L^T, read as the upper triangle of the Fortran-ordered transpose
+    rhs = pre.xty - dtrmv(low.T, alpha * mu)
     for start in range(0, pre.p, _BLOCK):
         block = slice(start, start + _BLOCK)
         # rhs[:start] already holds the new means; the first block has none, and
@@ -170,10 +173,14 @@ def par_sweep(mu, alpha, pre: Precomputed) -> np.ndarray:
 
 
 def sweep_residuals(mu, alpha, pre: Precomputed):
-    """Sup-norm residuals ``(seq, par)`` of both sweeps at ``mu``, with ``alpha`` frozen."""
-    seq = seq_sweep(mu, alpha, pre)
+    """Sup-norm residuals of both sweeps at ``mu``, with ``alpha`` frozen.
+
+    Returns ``(seq, par, swept)``: the two residuals and the sequential sweep
+    S(mu) they were measured from, which the sequential Jacobian reuses.
+    """
+    swept = seq_sweep(mu, alpha, pre)
     par = par_sweep(mu, alpha, pre)
-    return float(np.max(np.abs(seq - mu))), float(np.max(np.abs(par - mu)))
+    return float(np.max(np.abs(swept - mu))), float(np.max(np.abs(par - mu))), swept
 
 
 def _initial_mu(cfg: RunConfig, pre: Precomputed) -> np.ndarray:
@@ -280,7 +287,7 @@ def fixed_point(
         raise FixedPointError(f"sequential iteration did not converge (status {status})", trace)
 
     target = 10.0 * cfg.tol
-    seq_res, par_res = sweep_residuals(mu, alpha, pre)
+    seq_res, par_res, _ = sweep_residuals(mu, alpha, pre)
     if not (seq_res < target and par_res < target):
         raise FixedPointError(
             f"fixed-point residuals (sequential {seq_res:.3g}, parallel {par_res:.3g}) "

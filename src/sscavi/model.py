@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 from scipy.special import expit
 
 __all__ = [
@@ -104,8 +105,9 @@ class Precomputed:
     a : per-coordinate slab-posterior precisions, ``|X_j|^2 / sigma2 + tau``.
     d : diagonal of the sweep normalizer, ``sigma2 * a`` (= ``|X_j|^2 + sigma2*tau``).
     col_sq_norms : squared column norms of the design (the Gram diagonal).
-    xtx_lower : strict lower triangle of the Gram matrix (zero diagonal); the
-        only stored copy of the off-diagonal Gram entries.
+    xtx_lower : strict lower triangle of the Gram matrix, C-ordered, with an
+        exactly zero diagonal and upper triangle; the only stored copy of the
+        off-diagonal Gram entries, formed by one ``dsyrk``.
     xty : design-response cross moments.
     """
 
@@ -123,6 +125,13 @@ class Precomputed:
 def precompute(dataset: Dataset, hyper: Hyperparams) -> Precomputed:
     """Assemble the per-column precisions, Gram pieces, and cross moments.
 
+    The Gram matrix is formed once, as a triangle: ``dsyrk`` on the
+    Fortran-ordered ``X^T`` writes only the upper triangle of X^T X in
+    Fortran order, which read as a C-ordered array is the lower triangle; its
+    diagonal is then zeroed in place. So the one p x p array this allocates is
+    ``xtx_lower`` itself. The column norms come from ``einsum`` rather than
+    that diagonal, which differs from them in the last bits.
+
     Zero columns are allowed (their precision degenerates to ``tau``);
     non-finite inputs are rejected by :class:`Dataset`. Hyperparameters that
     overflow a precision or a normalizer to infinity raise ``ValueError``.
@@ -134,7 +143,8 @@ def precompute(dataset: Dataset, hyper: Hyperparams) -> Precomputed:
         d = hyper.sigma2 * a
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(d))):
         raise ValueError(f"tau={hyper.tau}, sigma2={hyper.sigma2} overflow the slab precisions")
-    xtx_lower = np.tril(X.T @ X, k=-1)
+    xtx_lower = dsyrk(1.0, X.T, lower=0).T
+    np.fill_diagonal(xtx_lower, 0.0)
     xty = X.T @ dataset.y
     return Precomputed(
         a=a,

@@ -13,10 +13,16 @@ Arnoldi (``eigs``) for the sequential radius, Lanczos (``eigsh``) for the
 parallel one. Below that size, and whenever ARPACK raises ``ArpackError``
 (no convergence, or a zero Krylov vector for a zero operator), the dense
 solver of the same matrix gives the radius: ``eigvals`` or ``eigvalsh``.
+The sequential radius runs Arnoldi on the Jacobian operator v -> J_seq v
+(two ``dtrmv`` on the stored Gram triangle and one ``dtrsv`` on the sweep
+system), so no dense J_seq is formed from ``_KRYLOV_MIN_P`` up;
+:func:`jacobian_seq` is that operator's dense form, the matrix of the dense
+path and of the oracles.
 The crossover, measured with one BLAS thread as the median time of both
-radii together: dense 2.0 ms against ARPACK 2.1 ms at p = 75, and 4.2 ms
-against 2.2 ms at p = 100 (Arnoldi alone wins from p = 75, Lanczos alone
-from about p = 150). A dense eigensolver that fails raises ``LinAlgError``.
+radii together while Arnoldi still ran on a dense J_seq: dense 2.0 ms
+against ARPACK 2.1 ms at p = 75, and 4.2 ms against 2.2 ms at p = 100
+(Arnoldi alone wins from p = 75, Lanczos alone from about p = 150). A
+dense eigensolver that fails raises ``LinAlgError``.
 The contraction check takes its two top eigenvalues the same way, Lanczos
 from ``_KRYLOV_MIN_P`` up and dense ``eigvalsh`` below, each path on the
 same operator: delta_quad on K K^T with K = Lc^{-1} B C, the scaled core
@@ -33,7 +39,7 @@ from typing import List, NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, eigvalsh, solve_triangular
-from scipy.linalg.blas import dsymv, dtrmv, dtrsv
+from scipy.linalg.blas import dsymv, dtrmm, dtrmv, dtrsm, dtrsv
 
 from . import engines
 from .model import Hyperparams, Precomputed, inclusion_prob, inclusion_prob_grad
@@ -77,23 +83,52 @@ def _linearization(mu_star, pre, hyper):
     return alpha, grad, alpha + grad * mu_star
 
 
-def jacobian_seq(mu_star, pre: Precomputed, hyper: Hyperparams) -> np.ndarray:
-    """Analytic Jacobian of the frozen-probability sequential sweep at ``mu_star``.
+def _seq_jacobian_apply(alpha, w, g, pre: Precomputed):
+    """The sequential Jacobian as the map v -> J v, from the sweep's linearization.
 
     This is the package's one sequential map, :func:`engines.seq_sweep`: the
     sweep S(mu) solves T S = xty - L^T (alpha * mu) with T = D + L diag(alpha)
     (:func:`engines.seq_sweep_system`) and alpha = alpha(mu) frozen at the
     entry iterate, so rho_seq is the radius of this map. Differentiating
-    that system gives one triangular solve with a p x p right-hand side,
-    J = -T^{-1} [L^T diag(w) + L diag(alpha' * S(mu))], w = alpha + alpha' * mu,
-    exact at any ``mu_star``, not only at fixed points (where S(mu) = mu).
+    that system gives J v = -T^{-1} [L^T (w * v) + L (g * v)], with
+    w = alpha + alpha' * mu and g = alpha' * S(mu), exact at any mean, not
+    only at fixed points (where S(mu) = mu). T is formed once. A vector v
+    costs two ``dtrmv`` on the stored triangle and one ``dtrsv``; a p x k
+    block goes through the level-3 forms ``dtrmm`` and ``dtrsm``, so the
+    dense Jacobian is one application to the identity. With one OpenBLAS
+    thread on a 2-vCPU x86_64 machine, a column loop over the identity took
+    0.33 ms at p = 50 against 0.06 ms for the block, and a p x 1 block took
+    0.22 ms per Arnoldi step at p = 400 against 0.07 ms for the vector.
+    """
+    # both triangles read through Fortran-ordered transposes (upper), so nothing is copied
+    upper = pre.xtx_lower.T
+    system = engines.seq_sweep_system(alpha, pre, slice(None)).T
+
+    def apply(v):
+        if v.ndim == 1:
+            coupled = dtrmv(upper, w * v)
+            coupled += dtrmv(upper, g * v, trans=1)
+            return -dtrsv(system, coupled, lower=0, trans=1)
+        coupled = dtrmm(1.0, upper, w[:, None] * v)
+        coupled += dtrmm(1.0, upper, g[:, None] * v, trans_a=1)
+        return dtrsm(-1.0, system, coupled, lower=0, trans_a=1)
+
+    return apply
+
+
+def jacobian_seq(mu_star, pre: Precomputed, hyper: Hyperparams) -> np.ndarray:
+    """Analytic Jacobian of the frozen-probability sequential sweep at ``mu_star``.
+
+    The dense form of :func:`_seq_jacobian_apply`, the one statement of this
+    Jacobian: that map applied to the identity. Below ``_KRYLOV_MIN_P``
+    coordinates :func:`analyze_stability` takes rho_seq from the same dense
+    form, and :mod:`sscavi.verify` and the tests hold the Arnoldi radius and
+    the finite-difference Jacobian to this matrix.
     """
     mu_star = _finite_mean(mu_star)
     alpha, grad, w = _linearization(mu_star, pre, hyper)
     swept = engines.seq_sweep(mu_star, alpha, pre)
-    low = pre.xtx_lower
-    rhs = low.T * w + low * (grad * swept)
-    return -solve_triangular(engines.seq_sweep_system(alpha, pre, slice(None)), rhs, lower=True)
+    return _seq_jacobian_apply(alpha, w, grad * swept, pre)(np.eye(pre.p))
 
 
 def jacobian_par(mu_star, pre: Precomputed, hyper: Hyperparams) -> np.ndarray:
@@ -305,21 +340,27 @@ class StabilityReport:
 def analyze_stability(mu_star, pre: Precomputed, hyper: Hyperparams) -> StabilityReport:
     """Full local analysis at ``mu_star``: radii, residuals, contraction check.
 
-    Both sup-norm sweep residuals come from :func:`engines.sweep_residuals`.
-    A residual above 1e-6 (``_RESIDUAL_TOL``) does not abort the analysis
-    but is flagged ``not_fixed_point``, since the radii describe local
-    stability only at a fixed point. An operator that overflows (for
+    Both sup-norm sweep residuals come from :func:`engines.sweep_residuals`,
+    whose sequential sweep S(mu) the sequential Jacobian reuses, so the
+    analysis sweeps once. rho_seq is the radius of
+    :func:`_seq_jacobian_apply`: Arnoldi on that map from ``_KRYLOV_MIN_P``
+    coordinates up, ``eigvals`` on its dense form below that or when ARPACK
+    fails. A residual above 1e-6 (``_RESIDUAL_TOL``) does not abort the
+    analysis but is flagged ``not_fixed_point``, since the radii describe
+    local stability only at a fixed point. An operator that overflows (for
     instance the curvature mu^2 a (1 - alpha) at an extreme slab precision)
     raises ``FloatingPointError``: it is a numerical breakdown, not a result.
     """
     mu_star = _finite_mean(mu_star)
+    p = pre.p
     with np.errstate(over="raise", invalid="raise"):
-        alpha = inclusion_prob(mu_star, pre.a, hyper)
-        seq_residual, par_residual = engines.sweep_residuals(mu_star, alpha, pre)
+        alpha, grad, w = _linearization(mu_star, pre, hyper)
+        seq_residual, par_residual, swept = engines.sweep_residuals(mu_star, alpha, pre)
         flags = [] if max(seq_residual, par_residual) <= _RESIDUAL_TOL else ["not_fixed_point"]
+        apply = _seq_jacobian_apply(alpha, w, grad * swept, pre)
         assumption = check_assumption1(mu_star, pre, hyper)
         return StabilityReport(
-            rho_seq=spectral_radius(jacobian_seq(mu_star, pre, hyper)),
+            rho_seq=_krylov_radius(apply, p, False, lambda: np.linalg.eigvals(apply(np.eye(p)))),
             rho_par=_par_radius(mu_star, pre, hyper),
             assumption1=assumption,
             seq_residual=seq_residual,

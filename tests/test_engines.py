@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.linalg.blas import dtrsv
+from scipy.linalg.blas import dtrmv, dtrsv
 
 from sscavi import cli, engines, harness
 from sscavi.engines import (
@@ -172,18 +172,20 @@ def test_sweep_residuals_match_direct_sweeps(drawn):
     pre = precompute(ds, HYPER)
     alpha = inclusion_prob(mu, pre.a, HYPER) if drawn_alpha is None else drawn_alpha
     with mock.patch.object(engines, "_BLOCK", block):
-        seq_res, par_res = sweep_residuals(mu, alpha, pre)
-        direct_seq = np.max(np.abs(seq_sweep(mu, alpha, pre) - mu))
+        seq_res, par_res, swept = sweep_residuals(mu, alpha, pre)
+        direct = seq_sweep(mu, alpha, pre)
+    assert np.array_equal(swept, direct)
+    direct_seq = np.max(np.abs(direct - mu))
     direct_par = np.max(np.abs(par_sweep(mu, alpha, pre) - mu))
     tol = 1e-12 * max(1.0, float(np.max(np.abs(mu))))
     assert abs(seq_res - direct_seq) <= tol
     assert abs(par_res - direct_par) <= tol
 
 
-def test_spectral_replicate_sweeps_fixed_point_three_times(monkeypatch):
+def test_spectral_replicate_sweeps_fixed_point_twice(monkeypatch):
     # past its n_iter iterations, a replicate sweeps its fixed point once to
-    # certify it, once for the residuals of analyze_stability and once in
-    # jacobian_seq
+    # certify it and once in analyze_stability, whose residual and sequential
+    # Jacobian share that sweep
     seed, cfg = replicate_seed(0, 0), RunConfig(max_iter=500)
     ds = make_dataset(GenSpec(n=200, p=50, s=25, seed=seed))
     n_iter = run(ds, HYPER, Scheme("sequential"), cfg).n_iter
@@ -195,7 +197,7 @@ def test_spectral_replicate_sweeps_fixed_point_three_times(monkeypatch):
 
     monkeypatch.setattr(engines, "seq_sweep", counted)
     assert harness.spectral_replicate(200, 50, 25, seed, HYPER, cfg)["seq_converged"]
-    assert len(calls) == n_iter + 3
+    assert len(calls) == n_iter + 2
 
 
 def test_sweeps_propagate_nonfinite():
@@ -227,9 +229,10 @@ def test_seq_sweep_allocates_no_square_system():
 
 
 def _whole_system_sweep(mu, alpha, pre):
-    """The unblocked sequential sweep: one ``dtrsv`` on the whole p x p system."""
+    """The unblocked sequential sweep: one ``dtrsv`` on the whole p x p system,
+    after the production sweep's right-hand side (the same ``dtrmv``)."""
     mu = np.ascontiguousarray(mu, dtype=np.float64)
-    rhs = pre.xty - pre.xtx_lower.T @ (alpha * mu)
+    rhs = pre.xty - dtrmv(pre.xtx_lower.T, alpha * mu)
     return dtrsv(engines.seq_sweep_system(alpha, pre, slice(None)).T, rhs, lower=0, trans=1)
 
 
@@ -377,8 +380,8 @@ def test_fixed_point_raises_when_residual_misses_target(monkeypatch):
 
     def lag(*args, **kwargs):
         calls.append(1)
-        seq_res, par_res = sweep_residuals(*args, **kwargs)
-        return seq_res, par_res + 1.0
+        seq_res, par_res, swept = sweep_residuals(*args, **kwargs)
+        return seq_res, par_res + 1.0, swept
 
     monkeypatch.setattr(engines, "sweep_residuals", lag)
     with pytest.raises(FixedPointError, match="missed the target") as info:

@@ -1,6 +1,7 @@
 """Model-layer tests: precomputation, inclusion probabilities, ELBO."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,22 @@ def test_gram_triangle_reconstruction():
     gram = ds.X.T @ ds.X
     np.testing.assert_allclose(pre.xtx_lower, np.tril(gram, k=-1), atol=1e-10)
     np.testing.assert_allclose(pre.col_sq_norms, np.diag(gram), rtol=1e-12)
+
+
+def test_precompute_forms_one_gram_triangle():
+    # the one p x p array precompute allocates is the dsyrk triangle itself;
+    # forming X^T X and then its np.tril copy peaked at 2.14 x 8p^2 here
+    p = 300
+    ds = make_dataset(GenSpec(n=600, p=p, s=30, seed=5))
+    tracemalloc.start()
+    try:
+        pre = precompute(ds, Hyperparams(pi=0.5, tau=1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * p * p
+    assert pre.xtx_lower.flags.c_contiguous
+    assert np.all(np.triu(pre.xtx_lower) == 0.0)
 
 
 def test_inclusion_prob_neutral_point():

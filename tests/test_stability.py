@@ -177,6 +177,11 @@ def test_krylov_failure_falls_back_to_dense(monkeypatch):
     assert _par_radius(state.mu, pre, HYPER) == dense_par
     assert check_assumption1(state.mu, pre, HYPER) == dense_check
     assert len(calls) == 4
+    # the Jacobian operator falls back to eigvals on its dense form, jacobian_seq
+    report = analyze_stability(state.mu, pre, HYPER)
+    assert (report.rho_seq, report.rho_par) == (dense_seq, dense_par)
+    assert report.assumption1 == dense_check
+    assert len(calls) == 8
 
     def raising_eigvals(_):
         raise np.linalg.LinAlgError("no convergence")
