@@ -222,23 +222,19 @@ def run(
     scheme: Scheme = Scheme(),
     cfg: RunConfig = RunConfig(),
     pre: Optional[Precomputed] = None,
-    pin_alpha: bool = False,
 ) -> RunTrace:
     """Iterate the selected sweep until convergence, divergence, or max_iter.
 
     The stop rule is :func:`_iterate`'s; divergence is a normal return rather
     than an exception. The ELBO is evaluated at the initial state and after
-    every sweep. ``pin_alpha`` freezes every inclusion probability at one,
-    reducing both schemes to classical linear splitting iterations for the
-    ridge system.
+    every sweep.
     """
     if pre is None:
         pre = precompute(dataset, hyper)
     sweep = par_sweep if scheme.variant == PARALLEL else seq_sweep
-    pinned = np.ones(pre.p) if pin_alpha else None
 
     def alpha_of(mu):
-        return inclusion_prob(mu, pre.a, hyper) if pinned is None else pinned
+        return inclusion_prob(mu, pre.a, hyper)
 
     iterations, elbos, steps = [], [], []
 

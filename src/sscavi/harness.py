@@ -306,7 +306,7 @@ def cmd_verify(cfg: StudyConfig) -> int:
 
 
 def cmd_wigner_check(cfg: StudyConfig):
-    """Replicated normalized-Gram spectral norms over the (n, p) grid."""
+    """Replicated :func:`stability.wigner_stat`, the saturated parallel radius, over (n, p)."""
     points = [(int(n), int(p)) for n in cfg.n for p in cfg.p]
     for n, p in points:
         if not 2 <= p <= n:

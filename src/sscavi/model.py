@@ -183,8 +183,8 @@ class VariationalState:
 
     The constructor checks only that both are 1-d of equal length and that
     every finite ``alpha`` lies in [0, 1]; it does not tie ``alpha`` to
-    ``mu`` (``run(pin_alpha=True)`` returns ``alpha = 1``). The iteration
-    drivers derive ``alpha`` from ``mu`` with :func:`inclusion_prob`.
+    ``mu``. The iteration drivers derive ``alpha`` from ``mu`` with
+    :func:`inclusion_prob`.
     """
 
     mu: np.ndarray

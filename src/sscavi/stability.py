@@ -2,8 +2,11 @@
 
 Analytic Jacobians of the one-sweep maps mu -> sweep(mu, alpha(mu)), stated
 once as :func:`sscavi.verify.sweep_map`, spectral radii, the quadratic-form
-contraction check (Assumption 1), and the normalized off-diagonal Gram
-statistic that drives parallel instability under Gaussian designs. The
+contraction check (Assumption 1), and the Wigner statistic that drives
+parallel instability under Gaussian designs. The parallel radius is the
+radius of the scaled coupling R (L + L^T) R (:func:`_coupling_radius`), and
+the Wigner statistic is that radius with every probability saturated, the
+ridge-Jacobi radius, near 2 sqrt(p/n) for Gaussian designs. The
 parallel radius and the contraction check run on symmetric operators; only
 the sequential radius needs a nonsymmetric eigensolver. Each radius needs
 only the eigenvalue of largest modulus. From ``_KRYLOV_MIN_P`` = 100
@@ -42,7 +45,9 @@ from scipy.linalg import LinAlgError, cholesky, eigvalsh, solve_triangular
 from scipy.linalg.blas import dsymv, dtrmm, dtrmv, dtrsm, dtrsv
 
 from . import engines
-from .model import Hyperparams, Precomputed, inclusion_prob, inclusion_prob_grad
+from .model import (
+    Dataset, Hyperparams, Precomputed, inclusion_prob, inclusion_prob_grad, precompute,
+)
 
 __all__ = [
     "Assumption1Result",
@@ -135,10 +140,11 @@ def jacobian_par(mu_star, pre: Precomputed, hyper: Hyperparams) -> np.ndarray:
     """Analytic Jacobian of the parallel one-sweep map at ``mu_star``.
 
     Closed form: -D^{-1} (L + L^T) diag(w), w = alpha + alpha' * mu, L the
-    strict lower Gram triangle. Production takes rho_par from
-    :func:`_par_radius` and never forms this matrix; it is the oracle that
-    :mod:`sscavi.verify` and the tests hold that radius and the
-    finite-difference Jacobian to.
+    strict lower Gram triangle. Production never forms this matrix:
+    :func:`analyze_stability` takes rho_par from :func:`_coupling_radius`
+    with r = sqrt(w / d), and with every alpha saturated (w = 1) that radius
+    is :func:`wigner_stat`. This is the oracle that :mod:`sscavi.verify` and
+    the tests hold that radius and the finite-difference Jacobian to.
     """
     mu_star = _finite_mean(mu_star)
     _, _, w = _linearization(mu_star, pre, hyper)
@@ -173,19 +179,17 @@ def _krylov_radius(matvec, p: int, symmetric: bool, dense_eigvals):
     return float(np.max(np.abs(dense_eigvals())))
 
 
-def _par_radius(mu_star, pre: Precomputed, hyper: Hyperparams) -> float:
-    """Spectral radius of :func:`jacobian_par` from a symmetric eigenproblem.
+def _coupling_radius(pre: Precomputed, r) -> float:
+    """Largest eigenvalue modulus of R (L + L^T) R, R = diag(r), L the stored triangle.
 
-    With w = alpha + alpha' * mu = alpha (1 + (1 - alpha) a mu^2) >= 0 and
-    R = diag(sqrt(w / d)), J = -D^{-1} (L + L^T) diag(w) has the eigenvalues of
-    -R (L + L^T) R, since eig(XY) = eig(YX) (also where some w_j = 0). Only the
-    stored lower triangle is scaled. From ``_KRYLOV_MIN_P`` coordinates up,
-    Lanczos applies it with ``dsymv``; below that size, or when ARPACK fails,
+    With r = sqrt(w / d) and w = alpha + alpha' * mu = alpha (1 + (1 - alpha)
+    a mu^2) >= 0, this is the radius of :func:`jacobian_par`: J = -D^{-1}
+    (L + L^T) diag(w) has the eigenvalues of -R (L + L^T) R, since
+    eig(XY) = eig(YX) (also where some w_j = 0). Only the stored lower
+    triangle is scaled. From ``_KRYLOV_MIN_P`` coordinates up, Lanczos
+    applies it with ``dsymv``; below that size, or when ARPACK fails,
     ``eigvalsh`` solves it.
     """
-    mu_star = np.asarray(mu_star, dtype=np.float64)
-    _, _, w = _linearization(mu_star, pre, hyper)
-    r = np.sqrt(w / pre.d)
     sym_lower = pre.xtx_lower * np.outer(r, r)
     if not np.all(np.isfinite(sym_lower)):
         raise ValueError("spectral_radius expects finite entries")
@@ -361,7 +365,7 @@ def analyze_stability(mu_star, pre: Precomputed, hyper: Hyperparams) -> Stabilit
         assumption = check_assumption1(mu_star, pre, hyper)
         return StabilityReport(
             rho_seq=_krylov_radius(apply, p, False, lambda: np.linalg.eigvals(apply(np.eye(p)))),
-            rho_par=_par_radius(mu_star, pre, hyper),
+            rho_par=_coupling_radius(pre, np.sqrt(w / pre.d)),
             assumption1=assumption,
             seq_residual=seq_residual,
             par_residual=par_residual,
@@ -375,26 +379,22 @@ class WignerStat(NamedTuple):
 
 
 def wigner_stat(X, tau: float) -> WignerStat:
-    """Spectral norm of the normalized off-diagonal Gram matrix.
+    """The saturated parallel radius of design ``X`` and its ratio to sqrt(p/n).
 
-    Builds S = X^T X, normalizes the off-diagonal part by the regularized
-    diagonal sqrt((S_jj + tau)(S_ll + tau)), and returns the largest
-    eigenvalue modulus together with its ratio to sqrt(p/n). Under an i.i.d.
-    Gaussian design the ratio concentrates near 2.
+    The radius of :func:`_coupling_radius` with r = 1 / sqrt(d),
+    d_j = |X_j|^2 + tau: the parallel radius where every probability
+    saturates (w = 1), the radius of the ridge-Jacobi matrix
+    -D^{-1} (L + L^T), similar to minus the off-diagonal Gram matrix
+    normalized by sqrt(d_j d_l). The Gram triangle comes from
+    :func:`precompute`, so ``tau`` plays sigma2 tau, and the prior
+    probability and the response, which do not enter the statistic, are set
+    to 1/2 and zero. Under an i.i.d. Gaussian design the ratio concentrates
+    near 2, the semicircle edge 2 sqrt(p/n).
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("X must be a matrix")
-    n, p = X.shape
+    data = Dataset(X, np.zeros(np.shape(X)[:1]))
+    n, p = data.X.shape
     if not (n >= p >= 2):
         raise ValueError(f"need n >= p >= 2, got n={n}, p={p}")
-    if not (tau > 0):
-        raise ValueError("tau must be positive")
-    gram = X.T @ X
-    reg_diag = np.diag(gram) + tau
-    inv_sqrt = 1.0 / np.sqrt(reg_diag)
-    offdiag = gram - np.diag(np.diag(gram))
-    normalized = inv_sqrt[:, None] * offdiag * inv_sqrt[None, :]
-    norm = float(np.max(np.abs(np.linalg.eigvalsh(normalized))))
+    pre = precompute(data, Hyperparams(pi=0.5, tau=tau))
+    norm = _coupling_radius(pre, 1.0 / np.sqrt(pre.d))
     return WignerStat(norm=norm, ratio=norm / np.sqrt(p / n))
-

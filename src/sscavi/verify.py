@@ -12,7 +12,8 @@ formulas, and the spectral radii against perturbation orbits. The
 per-coordinate sequential map, which the package does not ship, is kept here
 as a reference whose fixed points the tests hold to the production sweep's,
 and so is the dense ridge system that both pinned sweeps split
-(:func:`ridge_system`), of which the package stores only a triangle, and the
+(:func:`ridge_system`), of which the package stores only a triangle, its
+pinned Gauss-Seidel iteration (:func:`pinned_gauss_seidel`), and the
 composition mu -> sweep(mu, alpha(mu)) (:func:`sweep_map`), since the
 production sweeps take alpha from their caller. No production code path uses
 these oracles.
@@ -73,6 +74,24 @@ def ridge_system(pre) -> np.ndarray:
     the triangle; this is the one place the dense system is built.
     """
     return pre.xtx_lower + pre.xtx_lower.T + np.diag(pre.d)
+
+
+def pinned_gauss_seidel(pre):
+    """Sequential sweeps with every inclusion probability pinned to one.
+
+    Starts from the diagonal least-squares means xty / d and sweeps until the
+    sup-norm step falls below ``RunConfig().tol``, for at most
+    ``RunConfig().max_iter`` sweeps: the Gauss-Seidel iteration for the
+    ridge system :func:`ridge_system`. Returns ``(converged, mu)``.
+    """
+    cfg = engines.RunConfig()
+    ones = np.ones(pre.p)
+    mu = pre.xty / pre.d
+    for _ in range(cfg.max_iter):
+        mu, entry = engines.seq_sweep(mu, ones, pre), mu
+        if np.max(np.abs(mu - entry)) < cfg.tol:
+            return True, mu
+    return False, mu
 
 
 def coordinate_seq_sweep(mu, alpha, pre, refresh_hyper: Optional[Hyperparams] = None):
@@ -375,11 +394,8 @@ def run_checks(
     pre_ridge = precompute(ds_ridge, hyper)
     ridge_sys = ridge_system(pre_ridge)
     direct = np.linalg.solve(ridge_sys, pre_ridge.xty)
-    trace = engines.run(
-        ds_ridge, hyper, engines.Scheme("sequential"), engines.RunConfig(), pre=pre_ridge,
-        pin_alpha=True,
-    )
-    solve_diff = float(np.max(np.abs(trace.final_state.mu - direct)))
+    _, pinned_mu = pinned_gauss_seidel(pre_ridge)
+    solve_diff = float(np.max(np.abs(pinned_mu - direct)))
     results.append(
         CheckResult("pinned_seq_vs_direct_solve", solve_diff, 1e-6, solve_diff < 1e-6)
     )

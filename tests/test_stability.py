@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sscavi import cli, engines, stability
 from sscavi.model import Dataset, Hyperparams, inclusion_prob, precompute
 from sscavi.stability import (
-    _par_radius,
+    _coupling_radius,
     analyze_stability,
     check_assumption1,
     jacobian_par,
@@ -28,6 +28,12 @@ from sscavi.verify import (
 )
 
 HYPER = Hyperparams(pi=0.5, tau=1.0, sigma2=1.0)
+
+
+def _rho_par(mu, pre):
+    """rho_par as analyze_stability takes it: the coupling radius at r = sqrt(w / d)."""
+    _, _, w = stability._linearization(mu, pre, HYPER)
+    return _coupling_radius(pre, np.sqrt(w / pre.d))
 
 
 def _converged_instance(n=40, p=8, s=4, seed=7):
@@ -151,7 +157,7 @@ def test_krylov_degenerate_matrices_return_dense_result():
     X = np.vstack([2.0 * np.eye(p), np.zeros((3, p))])
     pre = precompute(Dataset(X=X, y=np.arange(p + 3, dtype=float) / p), HYPER)
     mu = pre.xty / pre.d
-    assert _par_radius(mu, pre, HYPER) == 0.0
+    assert _rho_par(mu, pre) == 0.0
     assert analyze_stability(mu, pre, HYPER).rho_seq == 0.0
 
 
@@ -161,7 +167,7 @@ def test_krylov_failure_falls_back_to_dense(monkeypatch):
     ds, pre, state = _converged_instance(n=800, p=400, s=200, seed=3)
     jac = jacobian_seq(state.mu, pre, HYPER)
     monkeypatch.setattr(stability, "_KRYLOV_MIN_P", 10**9)
-    dense_seq, dense_par = spectral_radius(jac), _par_radius(state.mu, pre, HYPER)
+    dense_seq, dense_par = spectral_radius(jac), _rho_par(state.mu, pre)
     dense_check = check_assumption1(state.mu, pre, HYPER)
     monkeypatch.undo()
 
@@ -174,7 +180,7 @@ def test_krylov_failure_falls_back_to_dense(monkeypatch):
     monkeypatch.setattr(sla, "eigs", no_convergence)
     monkeypatch.setattr(sla, "eigsh", no_convergence)
     assert spectral_radius(jac) == dense_seq
-    assert _par_radius(state.mu, pre, HYPER) == dense_par
+    assert _rho_par(state.mu, pre) == dense_par
     assert check_assumption1(state.mu, pre, HYPER) == dense_check
     assert len(calls) == 4
     # the Jacobian operator falls back to eigvals on its dense form, jacobian_seq
@@ -257,17 +263,20 @@ def test_par_radius_symmetric_route_matches_eigvals(p, seed, zero_cols, scale):
     pre = precompute(Dataset(X=X, y=rng.standard_normal(2 * p + 3)), HYPER)
     mu = scale * rng.standard_normal(p)
     oracle = spectral_radius(jacobian_par(mu, pre, HYPER))
-    assert abs(_par_radius(mu, pre, HYPER) - oracle) <= 1e-10 * oracle
+    assert abs(_rho_par(mu, pre) - oracle) <= 1e-10 * oracle
 
 
 def test_par_radius_rejects_nonfinite_mean():
     ds, pre, state = _converged_instance()
     mu = state.mu.copy()
     mu[2] = np.nan
-    entries = (_par_radius, check_assumption1, analyze_stability, jacobian_seq, jacobian_par)
-    for entry in entries:
+    for entry in (check_assumption1, analyze_stability, jacobian_seq, jacobian_par):
         with pytest.raises(ValueError, match="finite"):
             entry(mu, pre, HYPER)
+    X = ds.X.copy()
+    X[3, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        wigner_stat(X, tau=1.0)
 
 
 def _collinear_instance(n, p):
@@ -379,7 +388,8 @@ def test_theorem2_direction_on_converged_instances(dense_study, small_study):
 
 def test_parallel_radius_scale_in_saturated_regime(dense_study):
     # dense saturated regime: radius should reach the 2(1-eps)sqrt(p/n) scale
-    # (with 15% slack) in at least 90% of replicates
+    # (with 15% slack) in at least 90% of replicates; at eps = 0 that is the
+    # semicircle edge of wigner_stat, the saturated parallel radius
     hits = total = 0
     for row in dense_study:
         if not row["seq_converged"]:
@@ -431,6 +441,28 @@ def test_wigner_stat_validation():
         wigner_stat(np.ones((5, 1)), tau=1.0)  # p < 2
     with pytest.raises(ValueError):
         wigner_stat(np.ones((5, 2)), tau=0.0)
+
+
+@pytest.mark.parametrize("p", [50, 200])
+@pytest.mark.parametrize("sigma2, tau", [(1.0, 1.0), (2.0, 0.5)])
+def test_wigner_stat_is_saturated_parallel_radius(p, sigma2, tau):
+    # p = 50 takes the dense eigensolver, p = 200 Lanczos (_KRYLOV_MIN_P = 100)
+    hyper = Hyperparams(pi=0.5, tau=tau, sigma2=sigma2)
+    rng = np.random.default_rng(p)
+    X = rng.standard_normal((2 * p, p))
+    pre = precompute(Dataset(X=X, y=rng.standard_normal(2 * p)), hyper)
+    mu = np.full(p, 1e3)
+    assert np.all(inclusion_prob(mu, pre.a, hyper) == 1.0)
+    rho_j1 = spectral_radius(jacobian_par(mu, pre, hyper))
+    stat = wigner_stat(X, sigma2 * tau)
+    assert abs(stat.norm - rho_j1) <= 1e-12 * rho_j1
+    # the full-Gram formula wigner_stat used before it read the stored triangle,
+    # its Gram formed apart from precompute's dsyrk
+    gram = np.einsum("ij,ik->jk", X, X)
+    inv_sqrt = 1.0 / np.sqrt(np.diag(gram) + sigma2 * tau)
+    normalized = inv_sqrt[:, None] * (gram - np.diag(np.diag(gram))) * inv_sqrt[None, :]
+    full_gram = float(np.max(np.abs(np.linalg.eigvalsh(normalized))))
+    assert abs(stat.norm - full_gram) <= 1e-12 * full_gram
 
 
 def test_wigner_stat_gaussian_scale():
