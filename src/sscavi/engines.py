@@ -20,15 +20,28 @@ xty - L^T (alpha * mu) is one ``dtrmv`` that reads only the triangle; every
 block after the first subtracts one GEMV over the means already solved, and
 each block solves its own diagonal block of T with ``dtrsv``, so no p x p
 array is written per sweep above 256 coordinates. Up to 256 coordinates
-there is one block, whose ``dtrsv`` gets the whole T and right-hand side, so
-the sweep is one whole-system solve bit for bit. Timed at fixed points with
+there is one block: T is built from the whole stored triangle, unsliced, and
+one ``dtrsv`` on the whole right-hand side returns the sweep, a
+whole-system solve bit for bit. Timed at fixed points with
 one OpenBLAS thread on a 2-vCPU x86_64 machine (``BENCH_12.json``), blocks
 of 64 or 128 were 12-18% faster than 256 at p = 400 and 1000, but blocks of
 64 were slower than one solve at p = 200 (0.079 against 0.063 ms).
+
+At the default study's sizes the iteration is bound by per-call overhead,
+not by BLAS. On the same machine (``BENCH_23.json``, medians of six
+processes), one ``fixed_point`` iterate at (n, p, s) = (200, 50, 25) took
+33 us when the one-block sweep sliced T and wrote its diagonal with
+``fill_diagonal``, alpha recomputed log(tau/a) on every call (7.0 us) and
+the stop rule made three separate reductions. It takes 23 us now: the sweep
+12 us (4 us of it in ``dtrmv`` and ``dtrsv``, 5 us in forming T), alpha
+4.6 us, since ``precompute`` stores the prior log-odds, and the stop rule
+about 6 us, one step reduction whose finiteness certifies the iterate and
+the divergence check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -124,14 +137,18 @@ class FixedPointError(RuntimeError):
         self.trace = trace
 
 
-def seq_sweep_system(alpha, pre: Precomputed, block: slice) -> np.ndarray:
-    """The diagonal ``block`` of the sequential sweep's system T = D + L diag(alpha).
+def seq_sweep_system(alpha, pre: Precomputed, block: Optional[slice] = None) -> np.ndarray:
+    """The sequential sweep's system T = D + L diag(alpha), or its diagonal ``block``.
 
-    L is the strict lower Gram triangle, so T is lower triangular;
-    ``slice(None)`` gives the whole p x p system.
+    L is the strict lower Gram triangle, so T is lower triangular. With no
+    ``block``, T is built from the whole stored triangle without slicing it.
+    The diagonal is one strided write into the fresh C-ordered product.
     """
-    sweep_sys = pre.xtx_lower[block, block] * alpha[block]
-    np.fill_diagonal(sweep_sys, pre.d[block])
+    low, d = pre.xtx_lower, pre.d
+    if block is not None:
+        low, alpha, d = low[block, block], alpha[block], d[block]
+    sweep_sys = low * alpha
+    sweep_sys.reshape(-1)[:: d.shape[0] + 1] = d
     return sweep_sys
 
 
@@ -141,11 +158,12 @@ def seq_sweep(mu, alpha, pre: Precomputed) -> np.ndarray:
     The sweep is one Gauss-Seidel step: it solves the lower-triangular system
     ``(D + L diag(alpha)) mu' = xty - L^T (alpha * mu)``, L the strict lower
     Gram triangle, whose right-hand side is one ``dtrmv`` on the stored
-    triangle, by blocks of ``_BLOCK`` coordinates: block k subtracts
-    ``L[k, :k] (alpha * mu')[:k]`` (one GEMV on the means already solved;
-    the first block has none), builds only its own diagonal block of the
-    system and solves it with ``dtrsv``. No p x p array is written above
-    ``_BLOCK`` coordinates; up to that, the one block is the whole system.
+    triangle. Up to ``_BLOCK`` coordinates the system is one block, solved
+    whole by one ``dtrsv``. Above that it is solved by blocks of ``_BLOCK``
+    coordinates: block k subtracts ``L[k, :k] (alpha * mu')[:k]`` (one GEMV
+    on the means already solved; the first block has none), builds only its
+    own diagonal block of the system and solves it with ``dtrsv``, so no
+    p x p array is written.
     Non-finite inputs give non-finite outputs rather than an exception, so
     :func:`run` can report them as divergence.
     """
@@ -153,13 +171,14 @@ def seq_sweep(mu, alpha, pre: Precomputed) -> np.ndarray:
     low = pre.xtx_lower
     # L^T, read as the upper triangle of the Fortran-ordered transpose
     rhs = pre.xty - dtrmv(low.T, alpha * mu)
+    # every transposed system below is a Fortran-ordered upper triangle: solved transposed, no copy
+    if pre.p <= _BLOCK:
+        # one block; the loop's slices and write-back would add ~2 us to a 12 us sweep at p = 50
+        return dtrsv(seq_sweep_system(alpha, pre).T, rhs, lower=0, trans=1)
     for start in range(0, pre.p, _BLOCK):
         block = slice(start, start + _BLOCK)
-        # rhs[:start] already holds the new means; the first block has none, and
-        # skipping its empty GEMV saves about 4 us of a 15 us sweep at p = 50
         if start:
             rhs[block] -= low[block, :start] @ (alpha[:start] * rhs[:start])
-        # the block's transpose is a Fortran-ordered upper triangle: solve it transposed, no copy
         rhs[block] = dtrsv(seq_sweep_system(alpha, pre, block).T, rhs[block], lower=0, trans=1)
     return rhs
 
@@ -183,33 +202,36 @@ def sweep_residuals(mu, alpha, pre: Precomputed):
     return float(np.max(np.abs(swept - mu))), float(np.max(np.abs(par - mu))), swept
 
 
-def _initial_mu(cfg: RunConfig, pre: Precomputed) -> np.ndarray:
-    if cfg.init == "zero":
-        return np.zeros(pre.p)
-    return pre.xty / pre.d
+def _iterate(sweep, pre: Precomputed, cfg: RunConfig, record=None):
+    """Iterate ``mu <- sweep(mu, alpha, pre)`` from ``cfg.init`` under both drivers' stop rule.
 
-
-def _iterate(mu, alpha, sweep, alpha_of, pre: Precomputed, cfg: RunConfig, record=None):
-    """Iterate ``mu <- sweep(mu, alpha, pre)`` under the one stop rule of both drivers.
-
-    ``alpha`` is the inclusion probability of the entry iterate and
-    ``alpha_of`` recomputes it once per new iterate, so each sweep reuses the
+    ``alpha`` is the inclusion probability of the entry iterate, evaluated once
+    per iterate from the stored prior log-odds, so each sweep reuses the
     probabilities the previous step evaluated. The iteration has converged
     when the sup norm of the mean update falls below ``cfg.tol``, has diverged
     on a non-finite iterate or one whose sup norm exceeds
     ``cfg.divergence_threshold``, and otherwise stops at ``cfg.max_iter``.
-    ``record(t, mu, alpha, step, finite)``, when given, sees every iterate.
+    The step is one reduction: a finite step certifies a finite iterate, and
+    only a step that is not finite asks whether the iterate is.
+    ``record(t, mu, alpha, step, finite)``, when given, sees the initial
+    state (t = 0, step NaN) and every iterate.
     Returns ``(status, n_iter, mu, alpha)``.
     """
+    mu = np.zeros(pre.p) if cfg.init == "zero" else pre.xty / pre.d
+    alpha = inclusion_prob(mu, pre.a, pre.prior_logit)
+    if record is not None:
+        record(0, mu, alpha, math.nan, True)
     for t in range(1, cfg.max_iter + 1):
         mu_new = sweep(mu, alpha, pre)
-        finite = bool(np.all(np.isfinite(mu_new)))
-        step = float(np.max(np.abs(mu_new - mu))) if finite else float("nan")
+        step = float(np.abs(mu_new - mu).max())
+        finite = math.isfinite(step) or bool(np.isfinite(mu_new).all())
+        if not finite:
+            step = math.nan
         mu = mu_new
-        alpha = alpha_of(mu)
+        alpha = inclusion_prob(mu, pre.a, pre.prior_logit)
         if record is not None:
             record(t, mu, alpha, step, finite)
-        if not finite or np.max(np.abs(mu)) > cfg.divergence_threshold:
+        if not finite or np.abs(mu).max() > cfg.divergence_threshold:
             return "diverged", t, mu, alpha
         if step < cfg.tol:
             return "converged", t, mu, alpha
@@ -232,10 +254,6 @@ def run(
     if pre is None:
         pre = precompute(dataset, hyper)
     sweep = par_sweep if scheme.variant == PARALLEL else seq_sweep
-
-    def alpha_of(mu):
-        return inclusion_prob(mu, pre.a, hyper)
-
     iterations, elbos, steps = [], [], []
 
     def record(t, mu, alpha, step, finite):
@@ -245,10 +263,7 @@ def run(
         )
         steps.append(step)
 
-    mu = _initial_mu(cfg, pre)
-    alpha = alpha_of(mu)
-    record(0, mu, alpha, float("nan"), True)
-    status, n_iter, mu, alpha = _iterate(mu, alpha, sweep, alpha_of, pre, cfg, record)
+    status, n_iter, mu, alpha = _iterate(sweep, pre, cfg, record)
     return RunTrace(status, n_iter, VariationalState(mu, alpha), iterations, elbos, steps)
 
 
@@ -272,12 +287,7 @@ def fixed_point(
     """
     if pre is None:
         pre = precompute(dataset, hyper)
-
-    def alpha_of(mu):
-        return inclusion_prob(mu, pre.a, hyper)
-
-    mu = _initial_mu(cfg, pre)
-    status, n_iter, mu, alpha = _iterate(mu, alpha_of(mu), seq_sweep, alpha_of, pre, cfg)
+    status, n_iter, mu, alpha = _iterate(seq_sweep, pre, cfg)
     trace = RunTrace(status, n_iter, VariationalState(mu, alpha))
     if status != "converged":
         raise FixedPointError(f"sequential iteration did not converge (status {status})", trace)

@@ -24,6 +24,7 @@ __all__ = [
     "Precomputed",
     "VariationalState",
     "precompute",
+    "prior_logit",
     "inclusion_prob",
     "inclusion_prob_grad",
     "expected_loglik",
@@ -109,6 +110,10 @@ class Precomputed:
         exactly zero diagonal and upper triangle; the only stored copy of the
         off-diagonal Gram entries, formed by one ``dsyrk``.
     xty : design-response cross moments.
+    prior_logit : the mean-free part of each coordinate's inclusion log-odds,
+        ``logit(pi) + log(tau / a) / 2`` (:func:`prior_logit`), formed once per
+        dataset so that :func:`inclusion_prob` adds only the ``a * mu^2 / 2``
+        term per iterate.
     """
 
     a: np.ndarray
@@ -116,6 +121,7 @@ class Precomputed:
     col_sq_norms: np.ndarray
     xtx_lower: np.ndarray
     xty: np.ndarray
+    prior_logit: np.ndarray
 
     @property
     def p(self) -> int:
@@ -152,19 +158,30 @@ def precompute(dataset: Dataset, hyper: Hyperparams) -> Precomputed:
         col_sq_norms=col_sq_norms,
         xtx_lower=xtx_lower,
         xty=xty,
+        prior_logit=prior_logit(a, hyper),
     )
 
 
-def inclusion_prob(mu, a, hyper: Hyperparams):
+def prior_logit(a, hyper: Hyperparams):
+    """The inclusion log-odds at mu = 0: logit(pi) + log(tau/a)/2.
+
+    :func:`precompute` stores it per coordinate as ``Precomputed.prior_logit``;
+    a caller without a :class:`Precomputed` passes this to
+    :func:`inclusion_prob` directly.
+    """
+    return hyper.logit_pi + 0.5 * np.log(hyper.tau / np.asarray(a, dtype=np.float64))
+
+
+def inclusion_prob(mu, a, prior_logit):
     """Inclusion probability as a function of the variational mean.
 
     logit(alpha) = logit(pi) + log(tau/a)/2 + a*mu^2/2, mapped through the
-    overflow-safe logistic ``expit``. Scalars in, scalar out; arrays broadcast
-    elementwise.
+    overflow-safe logistic ``expit``; ``prior_logit`` is its mean-free part,
+    ``Precomputed.prior_logit`` or :func:`prior_logit` of ``a``, so only the
+    ``a*mu^2/2`` term is evaluated here. Scalars in, scalar out; arrays
+    broadcast elementwise.
     """
-    mu = np.asarray(mu, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    return expit(hyper.logit_pi + 0.5 * np.log(hyper.tau / a) + 0.5 * a * mu * mu)
+    return expit(prior_logit + 0.5 * a * mu * mu)
 
 
 def inclusion_prob_grad(mu, a, alpha):

@@ -46,7 +46,13 @@ from scipy.linalg.blas import dsymv, dtrmm, dtrmv, dtrsm, dtrsv
 
 from . import engines
 from .model import (
-    Dataset, Hyperparams, Precomputed, inclusion_prob, inclusion_prob_grad, precompute,
+    Dataset,
+    Hyperparams,
+    Precomputed,
+    inclusion_prob,
+    inclusion_prob_grad,
+    precompute,
+    prior_logit,
 )
 
 __all__ = [
@@ -83,7 +89,7 @@ def _linearization(mu_star, pre, hyper):
     entry iterate reaches both sweeps' right-hand sides: the one statement of
     w for both Jacobians and the parallel radius.
     """
-    alpha = inclusion_prob(mu_star, pre.a, hyper)
+    alpha = inclusion_prob(mu_star, pre.a, prior_logit(pre.a, hyper))
     grad = inclusion_prob_grad(mu_star, pre.a, alpha)
     return alpha, grad, alpha + grad * mu_star
 
@@ -107,7 +113,7 @@ def _seq_jacobian_apply(alpha, w, g, pre: Precomputed):
     """
     # both triangles read through Fortran-ordered transposes (upper), so nothing is copied
     upper = pre.xtx_lower.T
-    system = engines.seq_sweep_system(alpha, pre, slice(None)).T
+    system = engines.seq_sweep_system(alpha, pre).T
 
     def apply(v):
         if v.ndim == 1:
@@ -266,7 +272,7 @@ def check_assumption1(mu_star, pre: Precomputed, hyper: Hyperparams) -> Assumpti
     and only the other case runs ``eigvalsh``.
     """
     mu_star = _finite_mean(mu_star)
-    alpha_raw = inclusion_prob(mu_star, pre.a, hyper)
+    alpha_raw = inclusion_prob(mu_star, pre.a, prior_logit(pre.a, hyper))
     flags: List[str] = []
     if np.any(alpha_raw > 1.0 - _ALPHA_CLAMP) or np.any(alpha_raw < _ALPHA_CLAMP):
         flags.append("alpha_saturated")

@@ -34,6 +34,7 @@ from .model import (
     inclusion_prob,
     inclusion_prob_grad,
     precompute,
+    prior_logit,
 )
 from .synth import SEED_BOUND, GenSpec, make_dataset
 
@@ -113,7 +114,7 @@ def coordinate_seq_sweep(mu, alpha, pre, refresh_hyper: Optional[Hyperparams] = 
         tail = gram[j, j + 1 :] @ (alpha[j + 1 :] * mu_new[j + 1 :])
         mu_new[j] = (pre.xty[j] - head - tail) / pre.d[j]
         if refresh_hyper is not None:
-            alpha[j] = inclusion_prob(mu_new[j], pre.a[j], refresh_hyper)
+            alpha[j] = inclusion_prob(mu_new[j], pre.a[j], prior_logit(pre.a[j], refresh_hyper))
     return mu_new
 
 
@@ -124,7 +125,8 @@ def sweep_map(sweep: Callable, pre, hyper: Hyperparams) -> Callable:
     the map whose Jacobians :mod:`sscavi.stability` states, and the one the
     finite-difference and orbit oracles here differentiate and iterate.
     """
-    return lambda mu: sweep(mu, inclusion_prob(mu, pre.a, hyper), pre)
+    logit = prior_logit(pre.a, hyper)
+    return lambda mu: sweep(mu, inclusion_prob(mu, pre.a, logit), pre)
 
 
 def fd_jacobian(map_fn: Callable, mu_star, h: float = 1e-6) -> np.ndarray:
@@ -239,7 +241,7 @@ def dense_radii(mu_star, pre, hyper: Hyperparams):
     """
     mu_star = np.asarray(mu_star, dtype=np.float64)
     rho_seq = float(np.max(np.abs(np.linalg.eigvals(stability.jacobian_seq(mu_star, pre, hyper)))))
-    alpha = inclusion_prob(mu_star, pre.a, hyper)
+    alpha = inclusion_prob(mu_star, pre.a, prior_logit(pre.a, hyper))
     r = np.sqrt((alpha + inclusion_prob_grad(mu_star, pre.a, alpha) * mu_star) / pre.d)
     sym = (pre.xtx_lower + pre.xtx_lower.T) * np.outer(r, r)
     return rho_seq, float(np.max(np.abs(np.linalg.eigvalsh(sym))))
@@ -263,7 +265,7 @@ def dense_assumption1(mu_star, pre, hyper: Hyperparams) -> DenseAssumption1:
     Probabilities are clamped into [1e-12, 1 - 1e-12] as in the production check.
     """
     mu_star = np.asarray(mu_star, dtype=np.float64)
-    alpha = np.clip(inclusion_prob(mu_star, pre.a, hyper), 1e-12, 1.0 - 1e-12)
+    alpha = np.clip(inclusion_prob(mu_star, pre.a, prior_logit(pre.a, hyper)), 1e-12, 1.0 - 1e-12)
     gram = ridge_system(pre)
     scaled_offdiag = (gram - np.diag(np.diag(gram))) / np.sqrt(np.outer(pre.d, pre.d))
     core = scaled_offdiag + np.eye(pre.p)
@@ -358,7 +360,7 @@ def run_checks(
     pre = precompute(ds, hyper)
     rng = np.random.default_rng(offset(7))
     mu = rng.standard_normal(8)
-    alpha = inclusion_prob(mu, pre.a, hyper)
+    alpha = inclusion_prob(mu, pre.a, pre.prior_logit)
     seq_diff = float(
         np.max(np.abs(engines.seq_sweep(mu, alpha, pre) - coordinate_seq_sweep(mu, alpha, pre)))
     )
@@ -462,7 +464,7 @@ def run_checks(
     ds_block = make_dataset(GenSpec(n=1200, p=600, s=300, seed=offset(17)))
     pre_block = precompute(ds_block, hyper)
     mu = np.random.default_rng(offset(17)).standard_normal(600)
-    alpha = inclusion_prob(mu, pre_block.a, hyper)
+    alpha = inclusion_prob(mu, pre_block.a, pre_block.prior_logit)
     expected = coordinate_seq_sweep(mu, alpha, pre_block)
     block_err = float(
         np.max(np.abs(engines.seq_sweep(mu, alpha, pre_block) - expected))

@@ -159,9 +159,9 @@ def test_c07_elbo_monte_carlo_oracle():
     pre = precompute(ds, HYPER)
     random_mu = np.random.default_rng(55).standard_normal(4)
     states = {
-        "zero": VariationalState(np.zeros(4), inclusion_prob(np.zeros(4), pre.a, HYPER)),
+        "zero": VariationalState(np.zeros(4), inclusion_prob(np.zeros(4), pre.a, pre.prior_logit)),
         "fixed_point": engines.fixed_point(ds, HYPER, RUN_CFG, pre=pre),
-        "random": VariationalState(random_mu, inclusion_prob(random_mu, pre.a, HYPER)),
+        "random": VariationalState(random_mu, inclusion_prob(random_mu, pre.a, pre.prior_logit)),
     }
     zscores = {}
     for i, (name, state) in enumerate(states.items()):

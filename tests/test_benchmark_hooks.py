@@ -1,7 +1,9 @@
 """The benchmark's per-layer tracer wraps package functions by name, and a
 name it cannot find reads 0 instead of failing; every name must resolve.
 Its counters read ``args[0]`` (mu) of ``engines.seq_sweep`` and the
-``n_iter`` of ``engines.run``'s result, so the call forms must keep them."""
+``n_iter`` of ``engines.run``'s result, so the call forms must keep them, and
+the drivers must evaluate alpha through ``model.inclusion_prob``, the name it
+times."""
 
 import importlib
 import importlib.util
@@ -44,11 +46,19 @@ def test_tracer_counters_read_the_call_forms():
         # one parallel sweep certifies the fixed point, one more gives its residual
         assert tracer.totals["engines.par_sweep.calls"] == 2
         ds = make_dataset(GenSpec(n=60, p=p, s=5, seed=0))
+        alphas = [tracer.totals["model.inclusion_prob.calls"]]
         trace = engines.run(ds, hyper, engines.Scheme(engines.SEQUENTIAL), cfg)
+        alphas.append(tracer.totals["model.inclusion_prob.calls"])
+        engines.fixed_point(ds, hyper, cfg)
+        alphas.append(tracer.totals["model.inclusion_prob.calls"])
     finally:
         tracer.uninstall()
     totals = tracer.totals
     assert totals["engines.run.iterations"] == trace.n_iter
+    # one alpha per iterate plus the entry alpha, in both drivers; fixed_point
+    # iterates exactly as the sequential run does
+    assert alphas[1] - alphas[0] == trace.n_iter + 1
+    assert alphas[2] - alphas[1] == trace.n_iter + 1
     assert totals["engines.seq_sweep.calls"] > trace.n_iter
     assert totals["engines.seq_sweep.flops"] == 2 * p * p * totals["engines.seq_sweep.calls"]
     for name, attrs in package.items():

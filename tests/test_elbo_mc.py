@@ -26,7 +26,7 @@ def instance():
 
 
 def _state(mu, pre):
-    return VariationalState(mu, inclusion_prob(mu, pre.a, HYPER))
+    return VariationalState(mu, inclusion_prob(mu, pre.a, pre.prior_logit))
 
 
 def _zscore(state, ds, pre, seed):

@@ -1,6 +1,7 @@
 """Engine tests: sweep semantics, dual forms, degeneracies, driver behavior."""
 
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -9,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg.blas import dtrmv, dtrsv
+from scipy.special import expit
 
 from sscavi import cli, engines, harness
 from sscavi.engines import (
+    PARALLEL,
+    SEQUENTIAL,
     FixedPointError,
     RunConfig,
     Scheme,
@@ -21,12 +25,20 @@ from sscavi.engines import (
     seq_sweep,
     sweep_residuals,
 )
-from sscavi.model import Dataset, Hyperparams, inclusion_prob, precompute
+from sscavi.model import (
+    Dataset,
+    Hyperparams,
+    VariationalState,
+    elbo,
+    inclusion_prob,
+    precompute,
+)
 from sscavi.synth import GenSpec, make_dataset, replicate_seed
 from sscavi.verify import (
     coordinate_seq_sweep,
     pinned_gauss_seidel,
     ridge_system,
+    sweep_map,
     textbook_gauss_seidel_sweep,
     textbook_jacobi_sweep,
 )
@@ -47,7 +59,7 @@ def test_single_coordinate_sweeps_ignore_state():
     expected = pre.xty[0] / pre.d[0]
     for mu0 in (-5.0, 0.0, 7.0):
         mu = np.array([mu0])
-        alpha = inclusion_prob(mu, pre.a, HYPER)
+        alpha = inclusion_prob(mu, pre.a, pre.prior_logit)
         assert seq_sweep(mu, alpha, pre)[0] == pytest.approx(expected)
         assert par_sweep(mu, alpha, pre)[0] == pytest.approx(expected)
 
@@ -60,7 +72,7 @@ def test_orthogonal_design_sweeps_coincide():
     target = pre.xty / pre.d
     for _ in range(3):
         mu = rng.standard_normal(4)
-        alpha = inclusion_prob(mu, pre.a, HYPER)
+        alpha = inclusion_prob(mu, pre.a, pre.prior_logit)
         np.testing.assert_allclose(seq_sweep(mu, alpha, pre), target, atol=1e-14)
         np.testing.assert_allclose(par_sweep(mu, alpha, pre), target, atol=1e-14)
 
@@ -70,7 +82,7 @@ def test_sweep_dual_forms_agree():
     rng = np.random.default_rng(7)
     for _ in range(5):
         mu = rng.standard_normal(8)
-        alpha = inclusion_prob(mu, pre.a, HYPER)
+        alpha = inclusion_prob(mu, pre.a, pre.prior_logit)
         np.testing.assert_allclose(
             seq_sweep(mu, alpha, pre), coordinate_seq_sweep(mu, alpha, pre), atol=1e-10
         )
@@ -87,7 +99,7 @@ def test_seq_sweep_coordinate_recursion_explicit():
     gram = ds.X.T @ ds.X
     rng = np.random.default_rng(11)
     mu = rng.standard_normal(6)
-    alpha = inclusion_prob(mu, pre.a, HYPER)
+    alpha = inclusion_prob(mu, pre.a, pre.prior_logit)
     expected = np.empty(6)
     for j in range(6):
         acc = pre.xty[j]
@@ -121,7 +133,7 @@ def sweep_inputs(draw):
 
 def _assert_matches_coordinate_loop(ds, mu, drawn_alpha):
     pre = precompute(ds, HYPER)
-    alpha = inclusion_prob(mu, pre.a, HYPER) if drawn_alpha is None else drawn_alpha
+    alpha = inclusion_prob(mu, pre.a, pre.prior_logit) if drawn_alpha is None else drawn_alpha
     expected = coordinate_seq_sweep(mu, alpha, pre)
     got = seq_sweep(mu, alpha, pre)
     scale = max(float(np.max(np.abs(expected))), np.finfo(float).tiny)
@@ -171,7 +183,7 @@ def test_sweep_residuals_match_direct_sweeps(drawn):
     # the one residual site agrees with the direct sweeps, on and across block boundaries
     block, (ds, mu, drawn_alpha) = drawn
     pre = precompute(ds, HYPER)
-    alpha = inclusion_prob(mu, pre.a, HYPER) if drawn_alpha is None else drawn_alpha
+    alpha = inclusion_prob(mu, pre.a, pre.prior_logit) if drawn_alpha is None else drawn_alpha
     with mock.patch.object(engines, "_BLOCK", block):
         seq_res, par_res, swept = sweep_residuals(mu, alpha, pre)
         direct = seq_sweep(mu, alpha, pre)
@@ -211,7 +223,7 @@ def test_sweeps_propagate_nonfinite():
         mu = np.random.default_rng(2).standard_normal(p)
         mu[nan_at] = np.nan
         for sweep in (seq_sweep, par_sweep):
-            assert np.any(~np.isfinite(sweep(mu, inclusion_prob(mu, pre.a, HYPER), pre)))
+            assert np.any(~np.isfinite(sweep(mu, inclusion_prob(mu, pre.a, pre.prior_logit), pre)))
 
 
 def test_seq_sweep_allocates_no_square_system():
@@ -222,7 +234,7 @@ def test_seq_sweep_allocates_no_square_system():
     mu = pre.xty / pre.d
     tracemalloc.start()
     try:
-        seq_sweep(mu, inclusion_prob(mu, pre.a, HYPER), pre)
+        seq_sweep(mu, inclusion_prob(mu, pre.a, pre.prior_logit), pre)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -231,10 +243,13 @@ def test_seq_sweep_allocates_no_square_system():
 
 def _whole_system_sweep(mu, alpha, pre):
     """The unblocked sequential sweep: one ``dtrsv`` on the whole p x p system,
-    after the production sweep's right-hand side (the same ``dtrmv``)."""
+    built here with ``fill_diagonal``, after the production sweep's right-hand
+    side (the same ``dtrmv``)."""
     mu = np.ascontiguousarray(mu, dtype=np.float64)
     rhs = pre.xty - dtrmv(pre.xtx_lower.T, alpha * mu)
-    return dtrsv(engines.seq_sweep_system(alpha, pre, slice(None)).T, rhs, lower=0, trans=1)
+    system = pre.xtx_lower * alpha
+    np.fill_diagonal(system, pre.d)
+    return dtrsv(system.T, rhs, lower=0, trans=1)
 
 
 def test_default_study_matches_whole_system_sweep(tmp_path, monkeypatch):
@@ -256,11 +271,11 @@ def test_per_coordinate_map_shares_fixed_points(shape):
         ds, pre = _random_instance(*shape, seed=replicate_seed(0, r))
         mu_star = fixed_point(ds, HYPER, cfg, pre=pre).mu
         swept = coordinate_seq_sweep(
-            mu_star, inclusion_prob(mu_star, pre.a, HYPER), pre, refresh_hyper=HYPER
+            mu_star, inclusion_prob(mu_star, pre.a, pre.prior_logit), pre, refresh_hyper=HYPER
         )
         assert np.max(np.abs(swept - mu_star)) < 10 * cfg.tol
         mu = pre.xty / pre.d  # the diagls init, far from the fixed point
-        alpha = inclusion_prob(mu, pre.a, HYPER)
+        alpha = inclusion_prob(mu, pre.a, pre.prior_logit)
         refreshed = coordinate_seq_sweep(mu, alpha, pre, refresh_hyper=HYPER)
         assert not np.allclose(refreshed, seq_sweep(mu, alpha, pre))
 
@@ -304,7 +319,7 @@ def test_run_sequential_running_example(running_example_runs):
     pre = precompute(ds, HYPER)
     np.testing.assert_allclose(
         seq.final_state.alpha,
-        inclusion_prob(seq.final_state.mu, pre.a, HYPER),
+        inclusion_prob(seq.final_state.mu, pre.a, pre.prior_logit),
         atol=1e-12,
     )
 
@@ -328,7 +343,7 @@ def test_fixed_point_residuals():
     ds, pre = _random_instance(200, 50, 25, seed=0)
     cfg = RunConfig(max_iter=500, tol=1e-8)
     state = fixed_point(ds, HYPER, cfg, pre=pre)
-    alpha = inclusion_prob(state.mu, pre.a, HYPER)
+    alpha = inclusion_prob(state.mu, pre.a, pre.prior_logit)
     seq_res = np.max(np.abs(seq_sweep(state.mu, alpha, pre) - state.mu))
     par_res = np.max(np.abs(par_sweep(state.mu, alpha, pre) - state.mu))
     assert seq_res < 10 * cfg.tol
@@ -343,7 +358,7 @@ def test_fixed_point_shared_within_operator_norm_slack():
         state = fixed_point(ds, HYPER, RunConfig(max_iter=500, tol=1e-8), pre=pre)
         eps = 1e-8
         growth = 1.0 + np.max(np.sum(np.abs(pre.xtx_lower / pre.d[:, None]), axis=1))
-        alpha = inclusion_prob(state.mu, pre.a, HYPER)
+        alpha = inclusion_prob(state.mu, pre.a, pre.prior_logit)
         par_res = np.max(np.abs(par_sweep(state.mu, alpha, pre) - state.mu))
         assert par_res < 100 * growth * eps
 
@@ -406,6 +421,112 @@ def test_fixed_point_error_carries_trace():
     assert info.value.trace.status == "diverged"
     assert info.value.trace.n_iter == 1
     assert info.value.trace.final_state.mu.shape == (50,)
+
+
+def _reference_iteration(ds, pre, sweep, cfg):
+    """Both drivers' iteration from independent pieces: :func:`sweep_map` for
+    the sweep, alpha written out as expit(logit(pi) + log(tau/a)/2 + a mu^2/2),
+    and the stop rule as separate finiteness and step reductions. Returns the
+    status, the iteration count, the final mean and alpha, and the ELBO and
+    step lists of :class:`RunTrace`."""
+    step_map = sweep_map(sweep, pre, HYPER)
+
+    def alpha_of(mu):
+        return expit(HYPER.logit_pi + 0.5 * np.log(HYPER.tau / pre.a) + 0.5 * pre.a * mu * mu)
+
+    mu = pre.xty / pre.d
+    alpha = alpha_of(mu)
+    elbos, steps = [elbo(VariationalState(mu, alpha), ds, HYPER, pre)], [np.nan]
+    for t in range(1, cfg.max_iter + 1):
+        mu_new = step_map(mu)
+        finite = bool(np.all(np.isfinite(mu_new)))
+        step = float(np.max(np.abs(mu_new - mu))) if finite else np.nan
+        mu, alpha = mu_new, alpha_of(mu_new)
+        elbos.append(elbo(VariationalState(mu, alpha), ds, HYPER, pre) if finite else np.nan)
+        steps.append(step)
+        if not finite or np.max(np.abs(mu)) > cfg.divergence_threshold:
+            return "diverged", t, mu, alpha, elbos, steps
+        if step < cfg.tol:
+            return "converged", t, mu, alpha, elbos, steps
+    return "max_iter", cfg.max_iter, mu, alpha, elbos, steps
+
+
+@pytest.mark.parametrize(
+    "shape, seed",
+    [((100, 50, 50), 3), ((200, 50, 25), 0), ((600, 300, 30), 5)],
+    ids=["100-50-50", "200-50-25", "600-300-30"],
+)
+def test_drivers_match_reference_iteration_bit_for_bit(shape, seed):
+    # 100-50-50 is the long-converging tail of the default study; p = 300
+    # runs the blocked sweep in two blocks
+    ds, pre = _random_instance(*shape, seed=seed)
+    cfg = RunConfig()
+    for variant, sweep in ((PARALLEL, par_sweep), (SEQUENTIAL, seq_sweep)):
+        status, n_iter, mu, alpha, elbos, steps = _reference_iteration(ds, pre, sweep, cfg)
+        trace = run(ds, HYPER, Scheme(variant), cfg, pre=pre)
+        assert (trace.status, trace.n_iter) == (status, n_iter)
+        assert trace.iterations == list(range(n_iter + 1))
+        np.testing.assert_array_equal(trace.final_state.mu, mu)
+        np.testing.assert_array_equal(trace.final_state.alpha, alpha)
+        np.testing.assert_array_equal(trace.elbo, elbos)
+        np.testing.assert_array_equal(trace.step_sup_norm, steps)
+    # the loop ends on the sequential reference, the iteration fixed_point runs
+    assert status == "converged"
+    state = fixed_point(ds, HYPER, cfg, pre=pre)
+    assert np.array_equal(state.mu, mu)
+    assert np.array_equal(state.alpha, alpha)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_nonfinite_iterate_diverges_without_new_warnings(bad, monkeypatch):
+    # a finite step certifies a finite iterate; a non-finite coordinate makes
+    # the step non-finite, and only then is the iterate itself checked, so the
+    # drivers stop at that iterate and emit no warning of their own
+    ds, pre = _random_instance(200, 50, 25, seed=0)
+    calls = []
+
+    def poisoned(mu, alpha, pre):
+        calls.append(1)
+        swept = seq_sweep(mu, alpha, pre)
+        if len(calls) == 3:
+            swept[7] = bad
+        return swept
+
+    monkeypatch.setattr(engines, "seq_sweep", poisoned)
+    records = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        trace = run(ds, HYPER, Scheme(SEQUENTIAL), RunConfig(), pre=pre)
+        calls.clear()
+        status, n_iter, _, _ = engines._iterate(
+            engines.seq_sweep, pre, RunConfig(), lambda *record: records.append(record)
+        )
+        calls.clear()
+        with pytest.raises(FixedPointError) as info:
+            fixed_point(ds, HYPER, RunConfig(), pre=pre)
+    assert (trace.status, trace.n_iter, len(trace.elbo)) == ("diverged", 3, 4)
+    assert np.isnan(trace.step_sup_norm[3]) and np.isnan(trace.elbo[3])
+    assert np.all(np.isfinite(trace.elbo[:3])) and np.all(np.isfinite(trace.step_sup_norm[1:3]))
+    assert (status, n_iter) == ("diverged", 3)
+    t, _, _, step, finite = records[-1]
+    assert t == 3 and np.isnan(step) and finite is False
+    assert all(record[4] is True for record in records[:3])
+    assert (info.value.trace.status, info.value.trace.n_iter) == ("diverged", 3)
+
+
+def test_overflowing_step_between_finite_iterates_is_finite():
+    # the other side of the rule: a step that overflows between two finite
+    # iterates is an infinite step of a finite iterate, not a non-finite one
+    ds = Dataset(X=np.array([[1.0]]), y=np.array([1.7e308]))
+    pre = precompute(ds, Hyperparams(pi=0.5, tau=1e-300))
+    records = []
+    with np.errstate(over="ignore"):
+        status, n_iter, _, _ = engines._iterate(
+            lambda mu, alpha, pre: -mu, pre, RunConfig(), lambda *record: records.append(record)
+        )
+    assert (status, n_iter) == ("diverged", 1)
+    t, _, _, step, finite = records[-1]
+    assert t == 1 and step == np.inf and finite is True
 
 
 def test_sequential_elbo_monotone_across_instances(running_example_runs):

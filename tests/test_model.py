@@ -14,6 +14,7 @@ from sscavi.model import (
     elbo,
     inclusion_prob,
     inclusion_prob_grad,
+    prior_logit,
     precompute,
 )
 from sscavi.synth import GenSpec, make_dataset
@@ -102,24 +103,24 @@ def test_precompute_forms_one_gram_triangle():
 
 def test_inclusion_prob_neutral_point():
     hyper = Hyperparams(pi=0.5, tau=1.0)
-    assert inclusion_prob(0.0, 1.0, hyper) == pytest.approx(0.5)
+    assert inclusion_prob(0.0, 1.0, prior_logit(1.0, hyper)) == pytest.approx(0.5)
 
 
 def test_inclusion_prob_frozen_value():
     hyper = Hyperparams(pi=0.5, tau=1.0)
-    assert inclusion_prob(1.0, 2.0, hyper) == pytest.approx(PSI_AT_ONE, abs=1e-14)
+    assert inclusion_prob(1.0, 2.0, prior_logit(2.0, hyper)) == pytest.approx(PSI_AT_ONE, abs=1e-14)
 
 
 def test_inclusion_prob_saturates():
     hyper = Hyperparams(pi=0.5, tau=1.0)
-    assert inclusion_prob(1e6, 1.0, hyper) == 1.0
-    assert inclusion_prob(1e6, 1e4, hyper) == 1.0  # exponent far beyond overflow
+    assert inclusion_prob(1e6, 1.0, prior_logit(1.0, hyper)) == 1.0
+    assert inclusion_prob(1e6, 1e4, prior_logit(1e4, hyper)) == 1.0  # exponent far beyond overflow
 
 
 def test_inclusion_prob_grad_values():
     hyper = Hyperparams(pi=0.5, tau=1.0)
     assert inclusion_prob_grad(0.0, 5.0, 0.3) == 0.0
-    alpha = inclusion_prob(1.0, 2.0, hyper)
+    alpha = inclusion_prob(1.0, 2.0, prior_logit(2.0, hyper))
     assert inclusion_prob_grad(1.0, 2.0, alpha) == pytest.approx(
         PSI_GRAD_AT_ONE, abs=1e-14
     )
@@ -131,8 +132,9 @@ def test_inclusion_prob_grad_matches_central_difference():
     h = 1e-6
     for a in (1.0, 10.0, 100.0):
         for mu in (-3.0, -1.0, -0.1, 0.0, 0.1, 1.0, 3.0):
-            grad = inclusion_prob_grad(mu, a, inclusion_prob(mu, a, hyper))
-            fd = (inclusion_prob(mu + h, a, hyper) - inclusion_prob(mu - h, a, hyper)) / (2 * h)
+            logit = prior_logit(a, hyper)
+            grad = inclusion_prob_grad(mu, a, inclusion_prob(mu, a, logit))
+            fd = (inclusion_prob(mu + h, a, logit) - inclusion_prob(mu - h, a, logit)) / (2 * h)
             assert grad == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
@@ -141,7 +143,9 @@ def test_state_alpha_is_derived():
     hyper = Hyperparams(pi=0.5, tau=1.0)
     pre = precompute(ds, hyper)
     state = engines.run(ds, hyper, cfg=engines.RunConfig(max_iter=3), pre=pre).final_state
-    np.testing.assert_allclose(state.alpha, inclusion_prob(state.mu, pre.a, hyper), atol=1e-12)
+    np.testing.assert_allclose(
+        state.alpha, inclusion_prob(state.mu, pre.a, pre.prior_logit), atol=1e-12
+    )
     mu = np.linspace(-1, 1, 5)
     with pytest.raises(ValueError):
         VariationalState(mu=mu, alpha=np.full(5, 2.0))
@@ -159,7 +163,7 @@ def test_elbo_zero_mean_orthonormal_hand_computed():
     pre = precompute(ds, hyper)
 
     mu = np.zeros(p)
-    state = VariationalState(mu, inclusion_prob(mu, pre.a, hyper))
+    state = VariationalState(mu, inclusion_prob(mu, pre.a, pre.prior_logit))
     a = 2.0  # |X_j|^2 + tau
     alpha = 1.0 / (1.0 + math.sqrt(a))  # sigmoid(log(1/sqrt(2)))
     assert state.alpha[0] == pytest.approx(alpha, abs=1e-14)
@@ -176,6 +180,6 @@ def test_elbo_handles_saturated_alpha():
     hyper = Hyperparams(pi=0.5, tau=1.0)
     pre = precompute(ds, hyper)
     mu = np.full(3, 20.0)
-    state = VariationalState(mu, inclusion_prob(mu, pre.a, hyper))
+    state = VariationalState(mu, inclusion_prob(mu, pre.a, pre.prior_logit))
     assert np.all(state.alpha == 1.0)
     assert math.isfinite(elbo(state, ds, hyper, pre))

@@ -58,7 +58,7 @@ def _textbook_splittings(pre):
     At mu = 0 the derivative alpha' = alpha (1 - alpha) a mu vanishes, so
     w = alpha(0), and both Jacobians are the classical splittings of M.
     """
-    alpha0 = inclusion_prob(np.zeros(pre.p), pre.a, HYPER)
+    alpha0 = inclusion_prob(np.zeros(pre.p), pre.a, pre.prior_logit)
     m = ridge_system(pre) * alpha0[None, :]
     np.fill_diagonal(m, pre.d)
     gs_matrix = -np.linalg.solve(np.tril(m), np.triu(m, 1))
@@ -328,7 +328,7 @@ def test_assumption1_matches_dense_oracle():
         assert got.satisfied == want.satisfied, label
         if label == "zero mean":
             assert got.delta_star == pytest.approx(0.0, abs=1e-30)
-        alpha = np.clip(inclusion_prob(mu, pre.a, HYPER), 1e-12, 1.0 - 1e-12)
+        alpha = np.clip(inclusion_prob(mu, pre.a, pre.prior_logit), 1e-12, 1.0 - 1e-12)
         if got.coupling_norm_sq > 2.0 * np.min(1.0 / alpha):
             # outside the Weyl shortcut: lam_min comes from eigvalsh
             lam_min_branches.add(label)
@@ -412,7 +412,7 @@ def test_analyze_stability_report_fields():
     off_report = analyze_stability(off_mu, pre, HYPER)
     assert "not_fixed_point" in off_report.flags
     # both residuals agree with the direct sweeps at a point that is not fixed
-    off_alpha = inclusion_prob(off_mu, pre.a, HYPER)
+    off_alpha = inclusion_prob(off_mu, pre.a, pre.prior_logit)
     for got, sweep in ((off_report.seq_residual, engines.seq_sweep),
                        (off_report.par_residual, engines.par_sweep)):
         direct = np.max(np.abs(sweep(off_mu, off_alpha, pre) - off_mu))
@@ -452,7 +452,7 @@ def test_wigner_stat_is_saturated_parallel_radius(p, sigma2, tau):
     X = rng.standard_normal((2 * p, p))
     pre = precompute(Dataset(X=X, y=rng.standard_normal(2 * p)), hyper)
     mu = np.full(p, 1e3)
-    assert np.all(inclusion_prob(mu, pre.a, hyper) == 1.0)
+    assert np.all(inclusion_prob(mu, pre.a, pre.prior_logit) == 1.0)
     rho_j1 = spectral_radius(jacobian_par(mu, pre, hyper))
     stat = wigner_stat(X, sigma2 * tau)
     assert abs(stat.norm - rho_j1) <= 1e-12 * rho_j1
