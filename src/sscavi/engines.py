@@ -5,7 +5,9 @@ The sequential scheme reuses freshly updated coordinates within a sweep
 previous iterate (Jacobi ordering). Both sweeps take the inclusion
 probabilities alpha from the caller and hold them frozen (the mu-block map),
 so a sequential sweep is one lower-triangular solve with T = D + L diag(alpha);
-the drivers evaluate alpha at each entry iterate. The per-coordinate
+the drivers evaluate alpha at each entry iterate. Both drivers take the
+:class:`Precomputed` of one ``precompute`` call; :func:`run` also takes the
+dataset and hyperparameters, which only its ELBO reads. The per-coordinate
 map, which refreshes each probability right after its own mean, shares the
 fixed points but is not shipped; :func:`sscavi.verify.coordinate_seq_sweep` is
 its reference. Both schemes become linear splitting iterations for the ridge
@@ -55,7 +57,6 @@ from .model import (
     VariationalState,
     elbo as _elbo,
     inclusion_prob,
-    precompute,
 )
 
 __all__ = [
@@ -241,18 +242,17 @@ def _iterate(sweep, pre: Precomputed, cfg: RunConfig, record=None):
 def run(
     dataset: Dataset,
     hyper: Hyperparams,
+    pre: Precomputed,
     scheme: Scheme = Scheme(),
     cfg: RunConfig = RunConfig(),
-    pre: Optional[Precomputed] = None,
 ) -> RunTrace:
     """Iterate the selected sweep until convergence, divergence, or max_iter.
 
     The stop rule is :func:`_iterate`'s; divergence is a normal return rather
     than an exception. The ELBO is evaluated at the initial state and after
-    every sweep.
+    every sweep; it is the one reader of ``dataset`` and ``hyper``, which the
+    sweeps see only through ``pre``.
     """
-    if pre is None:
-        pre = precompute(dataset, hyper)
     sweep = par_sweep if scheme.variant == PARALLEL else seq_sweep
     iterations, elbos, steps = [], [], []
 
@@ -267,12 +267,7 @@ def run(
     return RunTrace(status, n_iter, VariationalState(mu, alpha), iterations, elbos, steps)
 
 
-def fixed_point(
-    dataset: Dataset,
-    hyper: Hyperparams,
-    cfg: RunConfig = RunConfig(),
-    pre: Optional[Precomputed] = None,
-) -> VariationalState:
+def fixed_point(pre: Precomputed, cfg: RunConfig = RunConfig()) -> VariationalState:
     """Converge the sequential scheme and certify the result as a fixed point.
 
     The frozen-probability sequential sweep runs under :func:`_iterate`'s stop
@@ -285,8 +280,6 @@ def fixed_point(
     count and the final iterate of the sequential run, and empty
     per-iteration lists.
     """
-    if pre is None:
-        pre = precompute(dataset, hyper)
     status, n_iter, mu, alpha = _iterate(seq_sweep, pre, cfg)
     trace = RunTrace(status, n_iter, VariationalState(mu, alpha))
     if status != "converged":

@@ -142,7 +142,7 @@ def cmd_run_example(cfg: StudyConfig):
     with _rejected_as_config_error():
         pre = precompute(ds, cfg.hyper)
     out = _ensure_out(cfg)
-    trace = engines.run(ds, cfg.hyper, cfg.scheme, cfg.run, pre=pre)
+    trace = engines.run(ds, cfg.hyper, pre, cfg.scheme, cfg.run)
 
     status_col = ["running"] * len(trace.iterations)
     status_col[-1] = trace.status
@@ -215,11 +215,11 @@ def spectral_replicate(n, p, s, seed, hyper, run_cfg, amplitude=1.0):
         )
         pre = precompute(ds, hyper)
     try:
-        state = engines.fixed_point(ds, hyper, run_cfg, pre=pre)
+        state = engines.fixed_point(pre, run_cfg)
     except engines.FixedPointError:
         return dict(seq_converged=False, rho_seq=float("nan"), rho_par=float("nan"),
                     assumption1_satisfied=False, core_singular=False, alpha_min=float("nan"))
-    report = stability.analyze_stability(state.mu, pre, hyper)
+    report = stability.analyze_stability(state.mu, pre)
     return dict(
         seq_converged=True,
         rho_seq=report.rho_seq,

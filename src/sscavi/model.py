@@ -165,9 +165,9 @@ def precompute(dataset: Dataset, hyper: Hyperparams) -> Precomputed:
 def prior_logit(a, hyper: Hyperparams):
     """The inclusion log-odds at mu = 0: logit(pi) + log(tau/a)/2.
 
-    :func:`precompute` stores it per coordinate as ``Precomputed.prior_logit``;
-    a caller without a :class:`Precomputed` passes this to
-    :func:`inclusion_prob` directly.
+    :func:`precompute` stores it per coordinate as ``Precomputed.prior_logit``,
+    which every caller holding a :class:`Precomputed` reads instead; only a
+    caller without one passes this to :func:`inclusion_prob` directly.
     """
     return hyper.logit_pi + 0.5 * np.log(hyper.tau / np.asarray(a, dtype=np.float64))
 

@@ -3,7 +3,11 @@
 Analytic Jacobians of the one-sweep maps mu -> sweep(mu, alpha(mu)), stated
 once as :func:`sscavi.verify.sweep_map`, spectral radii, the quadratic-form
 contraction check (Assumption 1), and the Wigner statistic that drives
-parallel instability under Gaussian designs. The parallel radius is the
+parallel instability under Gaussian designs. Every analysis at a mean takes
+``(mu_star, pre)``: the maps depend on the hyperparameters only through
+:class:`Precomputed`, and alpha(mu) is evaluated from the stored prior
+log-odds ``pre.prior_logit``. A mean that is not finite or not of shape
+(p,) raises ``ValueError``. The parallel radius is the
 radius of the scaled coupling R (L + L^T) R (:func:`_coupling_radius`), and
 the Wigner statistic is that radius with every probability saturated, the
 ridge-Jacobi radius, near 2 sqrt(p/n) for Gaussian designs. The
@@ -52,7 +56,6 @@ from .model import (
     inclusion_prob,
     inclusion_prob_grad,
     precompute,
-    prior_logit,
 )
 
 __all__ = [
@@ -75,21 +78,23 @@ _RESIDUAL_TOL = 1e-6
 _KRYLOV_MIN_P = 100
 
 
-def _finite_mean(mu_star) -> np.ndarray:
+def _finite_mean(mu_star, p: int) -> np.ndarray:
     mu_star = np.asarray(mu_star, dtype=np.float64)
+    if mu_star.shape != (p,):
+        raise ValueError(f"mu_star must have shape ({p},), got {mu_star.shape}")
     if not np.all(np.isfinite(mu_star)):
         raise ValueError("mu_star must be finite")
     return mu_star
 
 
-def _linearization(mu_star, pre, hyper):
+def _linearization(mu_star, pre: Precomputed):
     """alpha(mu), its mean-derivative alpha' and w = alpha + alpha' * mu.
 
     diag(w) is the derivative of alpha(mu) * mu, the vector through which the
     entry iterate reaches both sweeps' right-hand sides: the one statement of
     w for both Jacobians and the parallel radius.
     """
-    alpha = inclusion_prob(mu_star, pre.a, prior_logit(pre.a, hyper))
+    alpha = inclusion_prob(mu_star, pre.a, pre.prior_logit)
     grad = inclusion_prob_grad(mu_star, pre.a, alpha)
     return alpha, grad, alpha + grad * mu_star
 
@@ -127,7 +132,7 @@ def _seq_jacobian_apply(alpha, w, g, pre: Precomputed):
     return apply
 
 
-def jacobian_seq(mu_star, pre: Precomputed, hyper: Hyperparams) -> np.ndarray:
+def jacobian_seq(mu_star, pre: Precomputed) -> np.ndarray:
     """Analytic Jacobian of the frozen-probability sequential sweep at ``mu_star``.
 
     The dense form of :func:`_seq_jacobian_apply`, the one statement of this
@@ -136,13 +141,13 @@ def jacobian_seq(mu_star, pre: Precomputed, hyper: Hyperparams) -> np.ndarray:
     form, and :mod:`sscavi.verify` and the tests hold the Arnoldi radius and
     the finite-difference Jacobian to this matrix.
     """
-    mu_star = _finite_mean(mu_star)
-    alpha, grad, w = _linearization(mu_star, pre, hyper)
+    mu_star = _finite_mean(mu_star, pre.p)
+    alpha, grad, w = _linearization(mu_star, pre)
     swept = engines.seq_sweep(mu_star, alpha, pre)
     return _seq_jacobian_apply(alpha, w, grad * swept, pre)(np.eye(pre.p))
 
 
-def jacobian_par(mu_star, pre: Precomputed, hyper: Hyperparams) -> np.ndarray:
+def jacobian_par(mu_star, pre: Precomputed) -> np.ndarray:
     """Analytic Jacobian of the parallel one-sweep map at ``mu_star``.
 
     Closed form: -D^{-1} (L + L^T) diag(w), w = alpha + alpha' * mu, L the
@@ -152,8 +157,8 @@ def jacobian_par(mu_star, pre: Precomputed, hyper: Hyperparams) -> np.ndarray:
     is :func:`wigner_stat`. This is the oracle that :mod:`sscavi.verify` and
     the tests hold that radius and the finite-difference Jacobian to.
     """
-    mu_star = _finite_mean(mu_star)
-    _, _, w = _linearization(mu_star, pre, hyper)
+    mu_star = _finite_mean(mu_star, pre.p)
+    _, _, w = _linearization(mu_star, pre)
     offdiag_full = pre.xtx_lower + pre.xtx_lower.T
     return -(offdiag_full * w[None, :]) / pre.d[:, None]
 
@@ -244,7 +249,7 @@ class Assumption1Result:
     flags: List[str] = field(default_factory=list)
 
 
-def check_assumption1(mu_star, pre: Precomputed, hyper: Hyperparams) -> Assumption1Result:
+def check_assumption1(mu_star, pre: Precomputed) -> Assumption1Result:
     """Evaluate the contraction conditions at a candidate fixed point.
 
     The system is rescaled by the sweep normalizer: Ls = D^{-1/2} L D^{-1/2} is
@@ -271,8 +276,8 @@ def check_assumption1(mu_star, pre: Precomputed, hyper: Hyperparams) -> Assumpti
     so ``delta_bound`` is 0.5 whenever 2 min(1/alpha) >= coupling_norm_sq,
     and only the other case runs ``eigvalsh``.
     """
-    mu_star = _finite_mean(mu_star)
-    alpha_raw = inclusion_prob(mu_star, pre.a, prior_logit(pre.a, hyper))
+    mu_star = _finite_mean(mu_star, pre.p)
+    alpha_raw = inclusion_prob(mu_star, pre.a, pre.prior_logit)
     flags: List[str] = []
     if np.any(alpha_raw > 1.0 - _ALPHA_CLAMP) or np.any(alpha_raw < _ALPHA_CLAMP):
         flags.append("alpha_saturated")
@@ -347,7 +352,7 @@ class StabilityReport:
     flags: List[str] = field(default_factory=list)
 
 
-def analyze_stability(mu_star, pre: Precomputed, hyper: Hyperparams) -> StabilityReport:
+def analyze_stability(mu_star, pre: Precomputed) -> StabilityReport:
     """Full local analysis at ``mu_star``: radii, residuals, contraction check.
 
     Both sup-norm sweep residuals come from :func:`engines.sweep_residuals`,
@@ -361,14 +366,14 @@ def analyze_stability(mu_star, pre: Precomputed, hyper: Hyperparams) -> Stabilit
     instance the curvature mu^2 a (1 - alpha) at an extreme slab precision)
     raises ``FloatingPointError``: it is a numerical breakdown, not a result.
     """
-    mu_star = _finite_mean(mu_star)
     p = pre.p
+    mu_star = _finite_mean(mu_star, p)
     with np.errstate(over="raise", invalid="raise"):
-        alpha, grad, w = _linearization(mu_star, pre, hyper)
+        alpha, grad, w = _linearization(mu_star, pre)
         seq_residual, par_residual, swept = engines.sweep_residuals(mu_star, alpha, pre)
         flags = [] if max(seq_residual, par_residual) <= _RESIDUAL_TOL else ["not_fixed_point"]
         apply = _seq_jacobian_apply(alpha, w, grad * swept, pre)
-        assumption = check_assumption1(mu_star, pre, hyper)
+        assumption = check_assumption1(mu_star, pre)
         return StabilityReport(
             rho_seq=_krylov_radius(apply, p, False, lambda: np.linalg.eigvals(apply(np.eye(p)))),
             rho_par=_coupling_radius(pre, np.sqrt(w / pre.d)),

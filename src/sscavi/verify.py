@@ -15,8 +15,11 @@ and so is the dense ridge system that both pinned sweeps split
 (:func:`ridge_system`), of which the package stores only a triangle, its
 pinned Gauss-Seidel iteration (:func:`pinned_gauss_seidel`), and the
 composition mu -> sweep(mu, alpha(mu)) (:func:`sweep_map`), since the
-production sweeps take alpha from their caller. No production code path uses
-these oracles.
+production sweeps take alpha from their caller. Like the analysis they check,
+the oracles read the design and the hyperparameters only through
+:class:`sscavi.model.Precomputed`, alpha from its ``prior_logit``; only the
+Monte Carlo likelihood (:func:`mc_expected_loglik`) takes the dataset and
+hyperparameters beside it. No production code path uses these oracles.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .model import (
     inclusion_prob,
     inclusion_prob_grad,
     precompute,
-    prior_logit,
 )
 from .synth import SEED_BOUND, GenSpec, make_dataset
 
@@ -95,13 +97,13 @@ def pinned_gauss_seidel(pre):
     return False, mu
 
 
-def coordinate_seq_sweep(mu, alpha, pre, refresh_hyper: Optional[Hyperparams] = None):
+def coordinate_seq_sweep(mu, alpha, pre, refresh: bool = False):
     """One sequential sweep as an explicit in-order loop over the coordinates.
 
     Coordinate j takes one dense Gram row product over l != j, reading the
     fresh means below it and the entry means above it. By default alpha
-    stays frozen, the oracle for :func:`engines.seq_sweep`. With
-    ``refresh_hyper`` given, ``alpha[j]`` is recomputed from the fresh mean
+    stays frozen, the oracle for :func:`engines.seq_sweep`. With ``refresh``,
+    ``alpha[j]`` is recomputed from the fresh mean and ``pre.prior_logit[j]``
     right after coordinate j updates: the per-coordinate map of Carbonetto &
     Stephens (2012), which the package does not ship, and of which this
     branch is the reference.
@@ -113,20 +115,19 @@ def coordinate_seq_sweep(mu, alpha, pre, refresh_hyper: Optional[Hyperparams] = 
         head = gram[j, :j] @ (alpha[:j] * mu_new[:j])
         tail = gram[j, j + 1 :] @ (alpha[j + 1 :] * mu_new[j + 1 :])
         mu_new[j] = (pre.xty[j] - head - tail) / pre.d[j]
-        if refresh_hyper is not None:
-            alpha[j] = inclusion_prob(mu_new[j], pre.a[j], prior_logit(pre.a[j], refresh_hyper))
+        if refresh:
+            alpha[j] = inclusion_prob(mu_new[j], pre.a[j], pre.prior_logit[j])
     return mu_new
 
 
-def sweep_map(sweep: Callable, pre, hyper: Hyperparams) -> Callable:
+def sweep_map(sweep: Callable, pre) -> Callable:
     """The one-sweep map mu -> sweep(mu, alpha(mu), pre), alpha evaluated at the entry iterate.
 
     ``sweep`` is :func:`engines.seq_sweep` or :func:`engines.par_sweep`. This is
     the map whose Jacobians :mod:`sscavi.stability` states, and the one the
     finite-difference and orbit oracles here differentiate and iterate.
     """
-    logit = prior_logit(pre.a, hyper)
-    return lambda mu: sweep(mu, inclusion_prob(mu, pre.a, logit), pre)
+    return lambda mu: sweep(mu, inclusion_prob(mu, pre.a, pre.prior_logit), pre)
 
 
 def fd_jacobian(map_fn: Callable, mu_star, h: float = 1e-6) -> np.ndarray:
@@ -231,7 +232,7 @@ def perturbation_decay(
     return True
 
 
-def dense_radii(mu_star, pre, hyper: Hyperparams):
+def dense_radii(mu_star, pre):
     """(rho_seq, rho_par) from full dense eigensolves, whatever the size.
 
     ``eigvals`` on :func:`stability.jacobian_seq`, and ``eigvalsh`` on the
@@ -240,8 +241,8 @@ def dense_radii(mu_star, pre, hyper: Hyperparams):
     ARPACK radii that :func:`stability.analyze_stability` uses on wide designs.
     """
     mu_star = np.asarray(mu_star, dtype=np.float64)
-    rho_seq = float(np.max(np.abs(np.linalg.eigvals(stability.jacobian_seq(mu_star, pre, hyper)))))
-    alpha = inclusion_prob(mu_star, pre.a, prior_logit(pre.a, hyper))
+    rho_seq = float(np.max(np.abs(np.linalg.eigvals(stability.jacobian_seq(mu_star, pre)))))
+    alpha = inclusion_prob(mu_star, pre.a, pre.prior_logit)
     r = np.sqrt((alpha + inclusion_prob_grad(mu_star, pre.a, alpha) * mu_star) / pre.d)
     sym = (pre.xtx_lower + pre.xtx_lower.T) * np.outer(r, r)
     return rho_seq, float(np.max(np.abs(np.linalg.eigvalsh(sym))))
@@ -254,7 +255,7 @@ class DenseAssumption1(NamedTuple):
     satisfied: bool
 
 
-def dense_assumption1(mu_star, pre, hyper: Hyperparams) -> DenseAssumption1:
+def dense_assumption1(mu_star, pre) -> DenseAssumption1:
     """Assumption 1 from its defining formulas, for ``stability.check_assumption1``.
 
     With C the scaled core and B = diag(b) the curvature: delta_quad is the top
@@ -265,7 +266,7 @@ def dense_assumption1(mu_star, pre, hyper: Hyperparams) -> DenseAssumption1:
     Probabilities are clamped into [1e-12, 1 - 1e-12] as in the production check.
     """
     mu_star = np.asarray(mu_star, dtype=np.float64)
-    alpha = np.clip(inclusion_prob(mu_star, pre.a, prior_logit(pre.a, hyper)), 1e-12, 1.0 - 1e-12)
+    alpha = np.clip(inclusion_prob(mu_star, pre.a, pre.prior_logit), 1e-12, 1.0 - 1e-12)
     gram = ridge_system(pre)
     scaled_offdiag = (gram - np.diag(np.diag(gram))) / np.sqrt(np.outer(pre.d, pre.d))
     core = scaled_offdiag + np.eye(pre.p)
@@ -328,7 +329,7 @@ def _elbo_mc_check(n_samples: int, seed: int) -> CheckResult:
     hyper = Hyperparams(pi=0.5, tau=1.0, sigma2=1.0)
     ds = make_dataset(GenSpec(n=20, p=4, s=2, seed=seed))
     pre = precompute(ds, hyper)
-    state = engines.fixed_point(ds, hyper, engines.RunConfig(), pre=pre)
+    state = engines.fixed_point(pre)
     analytic = expected_loglik(state, ds, hyper, pre)
     estimate, stderr = mc_expected_loglik(state, ds, hyper, pre, n_samples, seed=seed)
     return CheckResult(
@@ -374,12 +375,12 @@ def run_checks(
     results.append(CheckResult("par_sweep_coord_vs_matrix", par_diff, 1e-10, par_diff < 1e-10))
 
     note("finite-difference Jacobians")
-    state = engines.fixed_point(ds, hyper, engines.RunConfig(), pre=pre)
-    jac_seq = stability.jacobian_seq(state.mu, pre, hyper)
-    jac_par = stability.jacobian_par(state.mu, pre, hyper)
-    seq_map = sweep_map(engines.seq_sweep, pre, hyper)
+    state = engines.fixed_point(pre)
+    jac_seq = stability.jacobian_seq(state.mu, pre)
+    jac_par = stability.jacobian_par(state.mu, pre)
+    seq_map = sweep_map(engines.seq_sweep, pre)
     fd_seq = fd_jacobian(seq_map, state.mu)
-    fd_par = fd_jacobian(sweep_map(engines.par_sweep, pre, hyper), state.mu)
+    fd_par = fd_jacobian(sweep_map(engines.par_sweep, pre), state.mu)
     err_seq = float(np.max(np.abs(jac_seq - fd_seq) / (1.0 + np.abs(fd_seq))))
     err_par = float(np.max(np.abs(jac_par - fd_par) / (1.0 + np.abs(fd_par))))
     results.append(CheckResult("fd_jacobian_seq", err_seq, 1e-5, err_seq < 1e-5))
@@ -424,7 +425,7 @@ def run_checks(
     note("similarity identity")
     # the nonsymmetric eigensolver on J_par against the symmetric route of the study
     rho_direct = stability.spectral_radius(jac_par)
-    rho_similar = stability.analyze_stability(state.mu, pre, hyper).rho_par
+    rho_similar = stability.analyze_stability(state.mu, pre).rho_par
     sim_diff = abs(rho_direct - rho_similar)
     results.append(CheckResult("par_radius_similarity", sim_diff, 1e-8, sim_diff < 1e-8))
 
@@ -435,9 +436,9 @@ def run_checks(
     )
     ds_dense = make_dataset(GenSpec(n=100, p=50, s=50, seed=offset(3)))
     pre_dense = precompute(ds_dense, hyper)
-    state_dense = engines.fixed_point(ds_dense, hyper, engines.RunConfig(), pre=pre_dense)
+    state_dense = engines.fixed_point(pre_dense)
     escape_ok = perturbation_decay(
-        sweep_map(engines.par_sweep, pre_dense, hyper),
+        sweep_map(engines.par_sweep, pre_dense),
         state_dense.mu,
         trials=10,
         iters=80,
@@ -451,9 +452,9 @@ def run_checks(
     # p = 200 is above stability._KRYLOV_MIN_P, so the study's radii come from ARPACK
     ds_wide = make_dataset(GenSpec(n=400, p=200, s=100, seed=offset(13)))
     pre_wide = precompute(ds_wide, hyper)
-    state_wide = engines.fixed_point(ds_wide, hyper, engines.RunConfig(), pre=pre_wide)
-    report = stability.analyze_stability(state_wide.mu, pre_wide, hyper)
-    dense_seq, dense_par = dense_radii(state_wide.mu, pre_wide, hyper)
+    state_wide = engines.fixed_point(pre_wide)
+    report = stability.analyze_stability(state_wide.mu, pre_wide)
+    dense_seq, dense_par = dense_radii(state_wide.mu, pre_wide)
     krylov_err = max(
         abs(report.rho_seq - dense_seq) / dense_seq, abs(report.rho_par - dense_par) / dense_par
     )
@@ -476,7 +477,7 @@ def run_checks(
 
     note("Krylov Assumption 1")
     # the p = 200 check above came from Lanczos and the Weyl bound
-    got, want = report.assumption1, dense_assumption1(state_wide.mu, pre_wide, hyper)
+    got, want = report.assumption1, dense_assumption1(state_wide.mu, pre_wide)
     a1_err = max(
         abs(getattr(got, name) - getattr(want, name)) / abs(getattr(want, name))
         for name in ("delta_quad", "coupling_norm_sq", "delta_bound")

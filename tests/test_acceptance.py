@@ -112,13 +112,13 @@ def test_c05_jacobian_finite_difference_oracle():
         seed = replicate_seed(777, r)
         ds = make_dataset(GenSpec(n=40, p=8, s=4, seed=seed))
         pre = precompute(ds, HYPER)
-        state = engines.fixed_point(ds, HYPER, RUN_CFG, pre=pre)
+        state = engines.fixed_point(pre, RUN_CFG)
         for jac_fn, sweep in (
             (stability.jacobian_seq, engines.seq_sweep),
             (stability.jacobian_par, engines.par_sweep),
         ):
-            jac = jac_fn(state.mu, pre, HYPER)
-            fd = fd_jacobian(sweep_map(sweep, pre, HYPER), state.mu)
+            jac = jac_fn(state.mu, pre)
+            fd = fd_jacobian(sweep_map(sweep, pre), state.mu)
             worst = max(worst, float(np.max(np.abs(jac - fd) / (1 + np.abs(fd)))))
     _criterion(5, worst < 1e-5, f"max FD relative error {worst:.3g} (need < 1e-5)")
 
@@ -160,7 +160,7 @@ def test_c07_elbo_monte_carlo_oracle():
     random_mu = np.random.default_rng(55).standard_normal(4)
     states = {
         "zero": VariationalState(np.zeros(4), inclusion_prob(np.zeros(4), pre.a, pre.prior_logit)),
-        "fixed_point": engines.fixed_point(ds, HYPER, RUN_CFG, pre=pre),
+        "fixed_point": engines.fixed_point(pre, RUN_CFG),
         "random": VariationalState(random_mu, inclusion_prob(random_mu, pre.a, pre.prior_logit)),
     }
     zscores = {}

@@ -11,7 +11,7 @@ import os
 import sys
 
 from sscavi import engines, harness
-from sscavi.model import Hyperparams
+from sscavi.model import Hyperparams, precompute
 from sscavi.synth import GenSpec, make_dataset
 
 TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
@@ -46,10 +46,11 @@ def test_tracer_counters_read_the_call_forms():
         # one parallel sweep certifies the fixed point, one more gives its residual
         assert tracer.totals["engines.par_sweep.calls"] == 2
         ds = make_dataset(GenSpec(n=60, p=p, s=5, seed=0))
+        pre = precompute(ds, hyper)
         alphas = [tracer.totals["model.inclusion_prob.calls"]]
-        trace = engines.run(ds, hyper, engines.Scheme(engines.SEQUENTIAL), cfg)
+        trace = engines.run(ds, hyper, pre, engines.Scheme(engines.SEQUENTIAL), cfg)
         alphas.append(tracer.totals["model.inclusion_prob.calls"])
-        engines.fixed_point(ds, hyper, cfg)
+        engines.fixed_point(pre, cfg)
         alphas.append(tracer.totals["model.inclusion_prob.calls"])
     finally:
         tracer.uninstall()

@@ -43,7 +43,7 @@ def test_loglik_matches_mc_at_zero_state(instance):
 
 def test_loglik_matches_mc_at_fixed_point(instance):
     ds, pre = instance
-    state = engines.fixed_point(ds, HYPER, engines.RunConfig(), pre=pre)
+    state = engines.fixed_point(pre)
     assert _zscore(state, ds, pre, seed=102) < 3.0
 
 

@@ -201,7 +201,7 @@ def test_spectral_replicate_sweeps_fixed_point_twice(monkeypatch):
     # Jacobian share that sweep
     seed, cfg = replicate_seed(0, 0), RunConfig(max_iter=500)
     ds = make_dataset(GenSpec(n=200, p=50, s=25, seed=seed))
-    n_iter = run(ds, HYPER, Scheme("sequential"), cfg).n_iter
+    n_iter = run(ds, HYPER, precompute(ds, HYPER), Scheme("sequential"), cfg).n_iter
     calls = []
 
     def counted(*args, **kwargs):
@@ -269,14 +269,14 @@ def test_per_coordinate_map_shares_fixed_points(shape):
     cfg = RunConfig(max_iter=500)
     for r in range(3):
         ds, pre = _random_instance(*shape, seed=replicate_seed(0, r))
-        mu_star = fixed_point(ds, HYPER, cfg, pre=pre).mu
+        mu_star = fixed_point(pre, cfg).mu
         swept = coordinate_seq_sweep(
-            mu_star, inclusion_prob(mu_star, pre.a, pre.prior_logit), pre, refresh_hyper=HYPER
+            mu_star, inclusion_prob(mu_star, pre.a, pre.prior_logit), pre, refresh=True
         )
         assert np.max(np.abs(swept - mu_star)) < 10 * cfg.tol
         mu = pre.xty / pre.d  # the diagls init, far from the fixed point
         alpha = inclusion_prob(mu, pre.a, pre.prior_logit)
-        refreshed = coordinate_seq_sweep(mu, alpha, pre, refresh_hyper=HYPER)
+        refreshed = coordinate_seq_sweep(mu, alpha, pre, refresh=True)
         assert not np.allclose(refreshed, seq_sweep(mu, alpha, pre))
 
 
@@ -326,14 +326,14 @@ def test_run_sequential_running_example(running_example_runs):
 
 def test_run_parallel_dense_diverges():
     ds, pre = _random_instance(100, 50, 50, seed=1)
-    trace = run(ds, HYPER, Scheme("parallel"), RunConfig(), pre=pre)
+    trace = run(ds, HYPER, pre, Scheme("parallel"), RunConfig())
     assert trace.status == "diverged"
     assert trace.iterations[-1] == trace.n_iter
 
 
 def test_run_records_match_status():
     ds, pre = _random_instance(50, 8, 4, seed=2)
-    trace = run(ds, HYPER, Scheme("sequential"), RunConfig(max_iter=3, tol=1e-14), pre=pre)
+    trace = run(ds, HYPER, pre, Scheme("sequential"), RunConfig(max_iter=3, tol=1e-14))
     assert trace.status == "max_iter"
     assert trace.n_iter == 3
     assert len(trace.elbo) == 4  # init row plus three sweeps
@@ -342,7 +342,7 @@ def test_run_records_match_status():
 def test_fixed_point_residuals():
     ds, pre = _random_instance(200, 50, 25, seed=0)
     cfg = RunConfig(max_iter=500, tol=1e-8)
-    state = fixed_point(ds, HYPER, cfg, pre=pre)
+    state = fixed_point(pre, cfg)
     alpha = inclusion_prob(state.mu, pre.a, pre.prior_logit)
     seq_res = np.max(np.abs(seq_sweep(state.mu, alpha, pre) - state.mu))
     par_res = np.max(np.abs(par_sweep(state.mu, alpha, pre) - state.mu))
@@ -355,7 +355,7 @@ def test_fixed_point_shared_within_operator_norm_slack():
     # the parallel map, with constant 1 + ||D^{-1} L|| in sup norm
     for seed in range(3):
         ds, pre = _random_instance(120, 30, 15, seed=seed + 40)
-        state = fixed_point(ds, HYPER, RunConfig(max_iter=500, tol=1e-8), pre=pre)
+        state = fixed_point(pre, RunConfig(max_iter=500, tol=1e-8))
         eps = 1e-8
         growth = 1.0 + np.max(np.sum(np.abs(pre.xtx_lower / pre.d[:, None]), axis=1))
         alpha = inclusion_prob(state.mu, pre.a, pre.prior_logit)
@@ -367,7 +367,7 @@ def test_fixed_point_orthogonal_single_sweep():
     X = np.vstack([np.eye(3) * 1.5, np.zeros((1, 3))])
     ds = Dataset(X=X, y=np.array([2.0, -1.0, 0.5, 0.0]))
     pre = precompute(ds, HYPER)
-    state = fixed_point(ds, HYPER, RunConfig(), pre=pre)
+    state = fixed_point(pre)
     np.testing.assert_allclose(state.mu, pre.xty / pre.d, atol=1e-12)
 
 
@@ -376,13 +376,13 @@ def test_fixed_point_evaluates_no_elbo(monkeypatch):
     # iterate is the sequential run's, bit for bit
     ds, pre = _random_instance(200, 50, 25, seed=0)
     cfg = RunConfig(max_iter=500)
-    trace = run(ds, HYPER, Scheme("sequential"), cfg, pre=pre)
+    trace = run(ds, HYPER, pre, Scheme("sequential"), cfg)
 
     def no_elbo(*_args, **_kwargs):
         raise AssertionError("fixed_point evaluated the ELBO")
 
     monkeypatch.setattr(engines, "_elbo", no_elbo)
-    state = fixed_point(ds, HYPER, cfg, pre=pre)
+    state = fixed_point(pre, cfg)
     assert np.array_equal(state.mu, trace.final_state.mu)
 
 
@@ -391,7 +391,7 @@ def test_fixed_point_raises_when_residual_misses_target(monkeypatch):
     # iterate, so a lagging parallel residual stands in for one that misses it
     ds, pre = _random_instance(200, 50, 25, seed=0)
     cfg = RunConfig(max_iter=500)
-    certified = fixed_point(ds, HYPER, cfg, pre=pre)
+    certified = fixed_point(pre, cfg)
     calls = []
 
     def lag(*args, **kwargs):
@@ -401,7 +401,7 @@ def test_fixed_point_raises_when_residual_misses_target(monkeypatch):
 
     monkeypatch.setattr(engines, "sweep_residuals", lag)
     with pytest.raises(FixedPointError, match="missed the target") as info:
-        fixed_point(ds, HYPER, cfg, pre=pre)
+        fixed_point(pre, cfg)
     assert len(calls) == 1
     assert info.value.trace.status == "converged"
     assert np.array_equal(info.value.trace.final_state.mu, certified.mu)
@@ -411,13 +411,13 @@ def test_fixed_point_raises_when_residual_misses_target(monkeypatch):
 def test_fixed_point_error_carries_trace():
     ds, pre = _random_instance(100, 50, 50, seed=1)
     with pytest.raises(FixedPointError) as info:
-        fixed_point(ds, HYPER, RunConfig(max_iter=2, tol=1e-14), pre=pre)
+        fixed_point(pre, RunConfig(max_iter=2, tol=1e-14))
     assert info.value.trace.status == "max_iter"
     assert info.value.trace.n_iter == 2
 
     ds, pre = _random_instance(200, 50, 25, seed=0)
     with pytest.raises(FixedPointError) as info:
-        fixed_point(ds, HYPER, RunConfig(divergence_threshold=1e-3, tol=1e-9), pre=pre)
+        fixed_point(pre, RunConfig(divergence_threshold=1e-3, tol=1e-9))
     assert info.value.trace.status == "diverged"
     assert info.value.trace.n_iter == 1
     assert info.value.trace.final_state.mu.shape == (50,)
@@ -429,7 +429,7 @@ def _reference_iteration(ds, pre, sweep, cfg):
     and the stop rule as separate finiteness and step reductions. Returns the
     status, the iteration count, the final mean and alpha, and the ELBO and
     step lists of :class:`RunTrace`."""
-    step_map = sweep_map(sweep, pre, HYPER)
+    step_map = sweep_map(sweep, pre)
 
     def alpha_of(mu):
         return expit(HYPER.logit_pi + 0.5 * np.log(HYPER.tau / pre.a) + 0.5 * pre.a * mu * mu)
@@ -463,7 +463,7 @@ def test_drivers_match_reference_iteration_bit_for_bit(shape, seed):
     cfg = RunConfig()
     for variant, sweep in ((PARALLEL, par_sweep), (SEQUENTIAL, seq_sweep)):
         status, n_iter, mu, alpha, elbos, steps = _reference_iteration(ds, pre, sweep, cfg)
-        trace = run(ds, HYPER, Scheme(variant), cfg, pre=pre)
+        trace = run(ds, HYPER, pre, Scheme(variant), cfg)
         assert (trace.status, trace.n_iter) == (status, n_iter)
         assert trace.iterations == list(range(n_iter + 1))
         np.testing.assert_array_equal(trace.final_state.mu, mu)
@@ -472,7 +472,7 @@ def test_drivers_match_reference_iteration_bit_for_bit(shape, seed):
         np.testing.assert_array_equal(trace.step_sup_norm, steps)
     # the loop ends on the sequential reference, the iteration fixed_point runs
     assert status == "converged"
-    state = fixed_point(ds, HYPER, cfg, pre=pre)
+    state = fixed_point(pre, cfg)
     assert np.array_equal(state.mu, mu)
     assert np.array_equal(state.alpha, alpha)
 
@@ -496,14 +496,14 @@ def test_nonfinite_iterate_diverges_without_new_warnings(bad, monkeypatch):
     records = []
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        trace = run(ds, HYPER, Scheme(SEQUENTIAL), RunConfig(), pre=pre)
+        trace = run(ds, HYPER, pre, Scheme(SEQUENTIAL), RunConfig())
         calls.clear()
         status, n_iter, _, _ = engines._iterate(
             engines.seq_sweep, pre, RunConfig(), lambda *record: records.append(record)
         )
         calls.clear()
         with pytest.raises(FixedPointError) as info:
-            fixed_point(ds, HYPER, RunConfig(), pre=pre)
+            fixed_point(pre)
     assert (trace.status, trace.n_iter, len(trace.elbo)) == ("diverged", 3, 4)
     assert np.isnan(trace.step_sup_norm[3]) and np.isnan(trace.elbo[3])
     assert np.all(np.isfinite(trace.elbo[:3])) and np.all(np.isfinite(trace.step_sup_norm[1:3]))
@@ -536,7 +536,7 @@ def test_sequential_elbo_monotone_across_instances(running_example_runs):
 
 def test_divergence_is_normal_return():
     ds, pre = _random_instance(100, 50, 50, seed=3)
-    trace = run(ds, HYPER, Scheme("parallel"), RunConfig(), pre=pre)
+    trace = run(ds, HYPER, pre, Scheme("parallel"), RunConfig())
     assert trace.status in ("diverged", "converged", "max_iter")
 
 

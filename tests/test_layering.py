@@ -1,6 +1,8 @@
 """Package layering, read from the source without importing it: the oracles
 in verify.py stay out of production code paths, no module reads another's
-private names, and the package's ``__init__`` binds nothing but its version.
+private names, the package's ``__init__`` binds nothing but its version, and
+no function takes the hyperparameters beside ``Precomputed`` unless it reads
+the ELBO's sigma2, tau or pi.
 The last test imports the package: each list of accepted values is stated
 once, where it is validated, and the CLI offers that same list."""
 
@@ -72,6 +74,40 @@ def test_no_module_reads_a_private_name_of_another():
     assert {"engines", "stability", "synth", "verify"} <= set(trees)
     reads = {name: list(_private_sibling_reads(tree, set(trees))) for name, tree in trees.items()}
     assert {name: found for name, found in reads.items() if found} == {}
+
+
+# the functions that read sigma2, tau or pi beside the Gram pieces: the ELBO and its oracle
+_ELBO_READERS = {
+    ("model", "expected_loglik"), ("model", "kl_to_prior"), ("model", "elbo"),
+    ("engines", "run"), ("verify", "mc_expected_loglik"),
+}
+
+
+def _parameters(tree):
+    """(name, {parameter: default node or None}) for every function in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+            params = dict(zip((arg.arg for arg in positional), defaults))
+            params.update(zip((arg.arg for arg in args.kwonlyargs), args.kw_defaults))
+            yield node.name, params
+
+
+def test_precomputed_is_the_one_carrier_past_precompute():
+    # past precompute, the design and the hyperparameters reach the maps through
+    # Precomputed alone; only the ELBO readers also take the hyperparameters
+    both, optional = set(), set()
+    for module, tree in _trees().items():
+        for name, params in _parameters(tree):
+            if "pre" in params and "hyper" in params:
+                both.add((module, name))
+            default = params.get("pre")
+            if isinstance(default, ast.Constant) and default.value is None:
+                optional.add((module, name))
+    assert both == _ELBO_READERS
+    assert optional == set()
 
 
 def test_cli_choices_are_the_validated_tuples():

@@ -142,7 +142,7 @@ def test_state_alpha_is_derived():
     ds = make_dataset(GenSpec(n=30, p=5, s=2, seed=3))
     hyper = Hyperparams(pi=0.5, tau=1.0)
     pre = precompute(ds, hyper)
-    state = engines.run(ds, hyper, cfg=engines.RunConfig(max_iter=3), pre=pre).final_state
+    state = engines.run(ds, hyper, pre, cfg=engines.RunConfig(max_iter=3)).final_state
     np.testing.assert_allclose(
         state.alpha, inclusion_prob(state.mu, pre.a, pre.prior_logit), atol=1e-12
     )

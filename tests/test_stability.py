@@ -32,14 +32,14 @@ HYPER = Hyperparams(pi=0.5, tau=1.0, sigma2=1.0)
 
 def _rho_par(mu, pre):
     """rho_par as analyze_stability takes it: the coupling radius at r = sqrt(w / d)."""
-    _, _, w = stability._linearization(mu, pre, HYPER)
+    _, _, w = stability._linearization(mu, pre)
     return _coupling_radius(pre, np.sqrt(w / pre.d))
 
 
 def _converged_instance(n=40, p=8, s=4, seed=7):
     ds = make_dataset(GenSpec(n=n, p=p, s=s, seed=seed))
     pre = precompute(ds, HYPER)
-    state = engines.fixed_point(ds, HYPER, engines.RunConfig(max_iter=500), pre=pre)
+    state = engines.fixed_point(pre, engines.RunConfig(max_iter=500))
     return ds, pre, state
 
 
@@ -47,9 +47,9 @@ def test_jacobians_vanish_for_single_coordinate():
     ds = Dataset(X=np.array([[2.0], [1.0]]), y=np.array([1.0, 0.0]))
     pre = precompute(ds, HYPER)
     mu_star = np.array([pre.xty[0] / pre.d[0]])
-    np.testing.assert_array_equal(jacobian_seq(mu_star, pre, HYPER), np.zeros((1, 1)))
-    np.testing.assert_array_equal(jacobian_par(mu_star, pre, HYPER), np.zeros((1, 1)))
-    assert spectral_radius(jacobian_seq(mu_star, pre, HYPER)) == 0.0
+    np.testing.assert_array_equal(jacobian_seq(mu_star, pre), np.zeros((1, 1)))
+    np.testing.assert_array_equal(jacobian_par(mu_star, pre), np.zeros((1, 1)))
+    assert spectral_radius(jacobian_seq(mu_star, pre)) == 0.0
 
 
 def _textbook_splittings(pre):
@@ -71,8 +71,8 @@ def test_pinned_jacobians_are_classical_iteration_matrices():
     pre = precompute(ds, HYPER)
     gs_matrix, jacobi_matrix = _textbook_splittings(pre)
     mu = np.zeros(10)
-    np.testing.assert_allclose(jacobian_seq(mu, pre, HYPER), gs_matrix, atol=1e-10)
-    np.testing.assert_allclose(jacobian_par(mu, pre, HYPER), jacobi_matrix, atol=1e-12)
+    np.testing.assert_allclose(jacobian_seq(mu, pre), gs_matrix, atol=1e-10)
+    np.testing.assert_allclose(jacobian_par(mu, pre), jacobi_matrix, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -82,8 +82,8 @@ def test_pinned_spectral_radii_match_textbook_splittings(seed):
     gs_matrix, jacobi_matrix = _textbook_splittings(pre)
     mu = np.zeros(10)
     rho_gs, rho_jac = spectral_radius(gs_matrix), spectral_radius(jacobi_matrix)
-    assert spectral_radius(jacobian_seq(mu, pre, HYPER)) == pytest.approx(rho_gs, abs=1e-8)
-    assert spectral_radius(jacobian_par(mu, pre, HYPER)) == pytest.approx(rho_jac, abs=1e-8)
+    assert spectral_radius(jacobian_seq(mu, pre)) == pytest.approx(rho_gs, abs=1e-8)
+    assert spectral_radius(jacobian_par(mu, pre)) == pytest.approx(rho_jac, abs=1e-8)
 
 
 def test_jacobians_match_finite_differences():
@@ -91,10 +91,10 @@ def test_jacobians_match_finite_differences():
     # the fixed point, and a random point where the sweep moves mu (S(mu) != mu)
     off_point = np.random.default_rng(11).standard_normal(pre.p)
     for mu in (state.mu, off_point):
-        fd_seq = fd_jacobian(sweep_map(engines.seq_sweep, pre, HYPER), mu)
-        fd_par = fd_jacobian(sweep_map(engines.par_sweep, pre, HYPER), mu)
-        err_seq = np.max(np.abs(jacobian_seq(mu, pre, HYPER) - fd_seq) / (1 + np.abs(fd_seq)))
-        err_par = np.max(np.abs(jacobian_par(mu, pre, HYPER) - fd_par) / (1 + np.abs(fd_par)))
+        fd_seq = fd_jacobian(sweep_map(engines.seq_sweep, pre), mu)
+        fd_par = fd_jacobian(sweep_map(engines.par_sweep, pre), mu)
+        err_seq = np.max(np.abs(jacobian_seq(mu, pre) - fd_seq) / (1 + np.abs(fd_seq)))
+        err_par = np.max(np.abs(jacobian_par(mu, pre) - fd_par) / (1 + np.abs(fd_par)))
         assert err_seq < 1e-5
         assert err_par < 1e-5
 
@@ -115,8 +115,8 @@ def test_dropping_inhomogeneous_term_breaks_fd_match():
     h_vec = solve_triangular(sweep_sys, pre.xty, lower=True)
     h_columns = -low_solved * (grad * h_vec)[None, :]
 
-    mutated = jacobian_seq(state.mu, pre, HYPER) - h_columns
-    fd = fd_jacobian(sweep_map(engines.seq_sweep, pre, HYPER), state.mu)
+    mutated = jacobian_seq(state.mu, pre) - h_columns
+    fd = fd_jacobian(sweep_map(engines.seq_sweep, pre), state.mu)
     err = np.max(np.abs(mutated - fd) / (1 + np.abs(fd)))
     assert err > 1e-5
 
@@ -139,9 +139,9 @@ def test_krylov_radii_match_dense_solvers(n, p, s, seed):
     # above the crossover both radii come from ARPACK; the dense solvers are the oracle
     ds = make_dataset(GenSpec(n=n, p=p, s=s, seed=replicate_seed(11, seed)))
     pre = precompute(ds, HYPER)
-    state = engines.fixed_point(ds, HYPER, engines.RunConfig(max_iter=500), pre=pre)
-    report = analyze_stability(state.mu, pre, HYPER)
-    dense_seq, dense_par = dense_radii(state.mu, pre, HYPER)
+    state = engines.fixed_point(pre, engines.RunConfig(max_iter=500))
+    report = analyze_stability(state.mu, pre)
+    dense_seq, dense_par = dense_radii(state.mu, pre)
     assert abs(report.rho_seq - dense_seq) <= 1e-12 * dense_seq
     assert abs(report.rho_par - dense_par) <= 1e-12 * dense_par
 
@@ -158,17 +158,17 @@ def test_krylov_degenerate_matrices_return_dense_result():
     pre = precompute(Dataset(X=X, y=np.arange(p + 3, dtype=float) / p), HYPER)
     mu = pre.xty / pre.d
     assert _rho_par(mu, pre) == 0.0
-    assert analyze_stability(mu, pre, HYPER).rho_seq == 0.0
+    assert analyze_stability(mu, pre).rho_seq == 0.0
 
 
 def test_krylov_failure_falls_back_to_dense(monkeypatch):
     import scipy.sparse.linalg as sla
 
     ds, pre, state = _converged_instance(n=800, p=400, s=200, seed=3)
-    jac = jacobian_seq(state.mu, pre, HYPER)
+    jac = jacobian_seq(state.mu, pre)
     monkeypatch.setattr(stability, "_KRYLOV_MIN_P", 10**9)
     dense_seq, dense_par = spectral_radius(jac), _rho_par(state.mu, pre)
-    dense_check = check_assumption1(state.mu, pre, HYPER)
+    dense_check = check_assumption1(state.mu, pre)
     monkeypatch.undo()
 
     calls = []
@@ -181,10 +181,10 @@ def test_krylov_failure_falls_back_to_dense(monkeypatch):
     monkeypatch.setattr(sla, "eigsh", no_convergence)
     assert spectral_radius(jac) == dense_seq
     assert _rho_par(state.mu, pre) == dense_par
-    assert check_assumption1(state.mu, pre, HYPER) == dense_check
+    assert check_assumption1(state.mu, pre) == dense_check
     assert len(calls) == 4
     # the Jacobian operator falls back to eigvals on its dense form, jacobian_seq
-    report = analyze_stability(state.mu, pre, HYPER)
+    report = analyze_stability(state.mu, pre)
     assert (report.rho_seq, report.rho_par) == (dense_seq, dense_par)
     assert report.assumption1 == dense_check
     assert len(calls) == 8
@@ -239,7 +239,7 @@ def test_gelfand_handles_nilpotent():
 
 def test_parallel_radius_equals_similar_factorization():
     ds, pre, state = _converged_instance(n=60, p=12, s=6, seed=5)
-    jac = jacobian_par(state.mu, pre, HYPER)
+    jac = jacobian_par(state.mu, pre)
     # D^{1/2} J D^{-1/2} = -(scaled off-diagonal Gram) diag(alpha (1 + mu^2 a (1 - alpha)))
     gram = ridge_system(pre)
     offdiag = (gram - np.diag(np.diag(gram))) / np.sqrt(np.outer(pre.d, pre.d))
@@ -262,7 +262,7 @@ def test_par_radius_symmetric_route_matches_eigvals(p, seed, zero_cols, scale):
     X[:, np.array(zero_cols[:p])] = 0.0
     pre = precompute(Dataset(X=X, y=rng.standard_normal(2 * p + 3)), HYPER)
     mu = scale * rng.standard_normal(p)
-    oracle = spectral_radius(jacobian_par(mu, pre, HYPER))
+    oracle = spectral_radius(jacobian_par(mu, pre))
     assert abs(_rho_par(mu, pre) - oracle) <= 1e-10 * oracle
 
 
@@ -272,11 +272,22 @@ def test_par_radius_rejects_nonfinite_mean():
     mu[2] = np.nan
     for entry in (check_assumption1, analyze_stability, jacobian_seq, jacobian_par):
         with pytest.raises(ValueError, match="finite"):
-            entry(mu, pre, HYPER)
+            entry(mu, pre)
     X = ds.X.copy()
     X[3, 2] = np.nan
     with pytest.raises(ValueError, match="finite"):
         wigner_stat(X, tau=1.0)
+
+
+@pytest.mark.parametrize("shape", [(7,), (8, 1), ()], ids=["short", "column", "scalar"])
+def test_mean_of_the_wrong_shape_is_rejected(shape):
+    # broadcasting would otherwise turn a (p, 1) mean into a p x p x p "Jacobian"
+    _, pre, state = _converged_instance()
+    assert pre.p == 8
+    mu = np.resize(state.mu, shape)
+    for entry in (jacobian_seq, jacobian_par, check_assumption1, analyze_stability):
+        with pytest.raises(ValueError, match=r"mu_star must have shape \(8,\)"):
+            entry(mu, pre)
 
 
 def _collinear_instance(n, p):
@@ -301,11 +312,11 @@ def _assumption1_instances():
     for n, p, s, r in shapes:
         ds = make_dataset(GenSpec(n=n, p=p, s=s, seed=replicate_seed(0, r)))
         pre = precompute(ds, HYPER)
-        state = engines.fixed_point(ds, HYPER, engines.RunConfig(max_iter=500), pre=pre)
+        state = engines.fixed_point(pre, engines.RunConfig(max_iter=500))
         cases.append((f"{n},{p},{s} #{r}", pre, state.mu))
     ds = make_dataset(GenSpec(n=400, p=20, s=20, amplitude=5.0, seed=5))
     pre = precompute(ds, HYPER)
-    state = engines.fixed_point(ds, HYPER, engines.RunConfig(max_iter=500), pre=pre)
+    state = engines.fixed_point(pre, engines.RunConfig(max_iter=500))
     cases.append(("saturated", pre, state.mu))
     cases.append(("zero mean", precompute(make_dataset(GenSpec(n=50, p=6, s=3, seed=9)), HYPER),
                   np.zeros(6)))
@@ -320,8 +331,8 @@ def _assumption1_instances():
 def test_assumption1_matches_dense_oracle():
     lam_min_branches = set()
     for label, pre, mu in _assumption1_instances():
-        got = check_assumption1(mu, pre, HYPER)
-        want = dense_assumption1(mu, pre, HYPER)
+        got = check_assumption1(mu, pre)
+        want = dense_assumption1(mu, pre)
         for name in ("delta_quad", "coupling_norm_sq", "delta_bound"):
             assert np.isclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=0.0), (
                 label, name, getattr(got, name), getattr(want, name))
@@ -343,8 +354,8 @@ def test_assumption1_flags_singular_core():
     for n, p in ((20, 40), (60, stability._KRYLOV_MIN_P + 10)):
         ds = make_dataset(GenSpec(n=n, p=p, s=p, seed=replicate_seed(0, 0)))
         pre = precompute(ds, hyper)
-        state = engines.fixed_point(ds, hyper, engines.RunConfig(max_iter=500), pre=pre)
-        result = check_assumption1(state.mu, pre, hyper)
+        state = engines.fixed_point(pre, engines.RunConfig(max_iter=500))
+        result = check_assumption1(state.mu, pre)
         assert "core_not_positive_definite" in result.flags, p
         assert not result.satisfied, p
         for name in ("delta_star", "delta_bound", "delta_quad", "coupling_norm_sq"):
@@ -354,7 +365,7 @@ def test_assumption1_flags_singular_core():
 def test_assumption1_zero_mean_state():
     ds = make_dataset(GenSpec(n=50, p=6, s=3, seed=9))
     pre = precompute(ds, HYPER)
-    result = check_assumption1(np.zeros(6), pre, HYPER)
+    result = check_assumption1(np.zeros(6), pre)
     assert result.delta_star == pytest.approx(0.0, abs=1e-30)
     assert result.satisfied
 
@@ -363,7 +374,7 @@ def test_assumption1_orthogonal_design_flagged_vacuous():
     X = np.vstack([np.eye(3) * 2.0, np.zeros((2, 3))])
     ds = Dataset(X=X, y=np.array([1.0, 2.0, -1.0, 0.0, 0.0]))
     pre = precompute(ds, HYPER)
-    result = check_assumption1(np.array([0.3, -0.2, 0.5]), pre, HYPER)
+    result = check_assumption1(np.array([0.3, -0.2, 0.5]), pre)
     assert result.coupling_norm_sq < 1e-14
     assert result.satisfied
     assert "decoupled" in result.flags
@@ -372,8 +383,8 @@ def test_assumption1_orthogonal_design_flagged_vacuous():
 def test_assumption1_strong_signal_regime():
     ds = make_dataset(GenSpec(n=400, p=20, s=20, amplitude=5.0, seed=5))
     pre = precompute(ds, HYPER)
-    state = engines.fixed_point(ds, HYPER, engines.RunConfig(max_iter=500), pre=pre)
-    result = check_assumption1(state.mu, pre, HYPER)
+    state = engines.fixed_point(pre, engines.RunConfig(max_iter=500))
+    result = check_assumption1(state.mu, pre)
     assert result.satisfied
     # clamped saturation leaves a tiny residual, far below the 0.5 bound
     assert result.delta_diag < 1e-3
@@ -403,13 +414,13 @@ def test_parallel_radius_scale_in_saturated_regime(dense_study):
 
 def test_analyze_stability_report_fields():
     ds, pre, state = _converged_instance(n=60, p=10, s=5, seed=3)
-    report = analyze_stability(state.mu, pre, HYPER)
+    report = analyze_stability(state.mu, pre)
     assert report.rho_seq >= 0 and np.isfinite(report.rho_seq)
     assert report.rho_par >= 0 and np.isfinite(report.rho_par)
     assert report.seq_residual < 1e-6
     assert report.flags == []
     off_mu = state.mu + 0.5
-    off_report = analyze_stability(off_mu, pre, HYPER)
+    off_report = analyze_stability(off_mu, pre)
     assert "not_fixed_point" in off_report.flags
     # both residuals agree with the direct sweeps at a point that is not fixed
     off_alpha = inclusion_prob(off_mu, pre.a, pre.prior_logit)
@@ -453,7 +464,7 @@ def test_wigner_stat_is_saturated_parallel_radius(p, sigma2, tau):
     pre = precompute(Dataset(X=X, y=rng.standard_normal(2 * p)), hyper)
     mu = np.full(p, 1e3)
     assert np.all(inclusion_prob(mu, pre.a, pre.prior_logit) == 1.0)
-    rho_j1 = spectral_radius(jacobian_par(mu, pre, hyper))
+    rho_j1 = spectral_radius(jacobian_par(mu, pre))
     stat = wigner_stat(X, sigma2 * tau)
     assert abs(stat.norm - rho_j1) <= 1e-12 * rho_j1
     # the full-Gram formula wigner_stat used before it read the stored triangle,
@@ -485,11 +496,11 @@ def test_perturbation_decay_linear_maps():
 def test_perturbation_decay_on_sweep_maps():
     ds, pre, state = _converged_instance(n=200, p=50, s=25, seed=0)
     assert perturbation_decay(
-        sweep_map(engines.seq_sweep, pre, HYPER), state.mu, trials=8, iters=60
+        sweep_map(engines.seq_sweep, pre), state.mu, trials=8, iters=60
     )
     ds2 = make_dataset(GenSpec(n=100, p=50, s=50, seed=1))
     pre2 = precompute(ds2, HYPER)
-    state2 = engines.fixed_point(ds2, HYPER, engines.RunConfig(max_iter=500), pre=pre2)
+    state2 = engines.fixed_point(pre2, engines.RunConfig(max_iter=500))
     assert perturbation_decay(
-        sweep_map(engines.par_sweep, pre2, HYPER), state2.mu, trials=8, iters=60
+        sweep_map(engines.par_sweep, pre2), state2.mu, trials=8, iters=60
     )
