@@ -6,12 +6,13 @@ previous iterate (Jacobi ordering). Both sweeps take the inclusion
 probabilities alpha from the caller and hold them frozen (the mu-block map),
 so a sequential sweep is one lower-triangular solve with T = D + L diag(alpha);
 the drivers evaluate alpha at each entry iterate. Both drivers take the
-:class:`Precomputed` of one ``precompute`` call; :func:`run` also takes the
-dataset and hyperparameters, which only its ELBO reads. The per-coordinate
-map, which refreshes each probability right after its own mean, shares the
-fixed points but is not shipped; :func:`sscavi.verify.coordinate_seq_sweep` is
-its reference. Both schemes become linear splitting iterations for the ridge
-system when the inclusion probabilities are pinned to one.
+:class:`Precomputed` of one ``precompute`` call and nothing else of the
+problem; :func:`run`'s ELBO reads the data and the prior from it too. The
+per-coordinate map, which refreshes each probability right after its own
+mean, shares the fixed points but is not shipped;
+:func:`sscavi.verify.coordinate_seq_sweep` is its reference. Both schemes
+become linear splitting iterations for the ridge system when the inclusion
+probabilities are pinned to one.
 
 The two maps share their fixed points; :func:`sweep_residuals` is the one
 place either map's residual at a point is computed.
@@ -50,14 +51,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.blas import dsymv, dtrmv, dtrsv
 
-from .model import (
-    Dataset,
-    Hyperparams,
-    Precomputed,
-    VariationalState,
-    elbo as _elbo,
-    inclusion_prob,
-)
+from .model import Precomputed, VariationalState, elbo as _elbo, inclusion_prob
 
 __all__ = [
     "Scheme",
@@ -239,28 +233,19 @@ def _iterate(sweep, pre: Precomputed, cfg: RunConfig, record=None):
     return "max_iter", cfg.max_iter, mu, alpha
 
 
-def run(
-    dataset: Dataset,
-    hyper: Hyperparams,
-    pre: Precomputed,
-    scheme: Scheme = Scheme(),
-    cfg: RunConfig = RunConfig(),
-) -> RunTrace:
+def run(pre: Precomputed, scheme: Scheme = Scheme(), cfg: RunConfig = RunConfig()) -> RunTrace:
     """Iterate the selected sweep until convergence, divergence, or max_iter.
 
     The stop rule is :func:`_iterate`'s; divergence is a normal return rather
     than an exception. The ELBO is evaluated at the initial state and after
-    every sweep; it is the one reader of ``dataset`` and ``hyper``, which the
-    sweeps see only through ``pre``.
+    every sweep.
     """
     sweep = par_sweep if scheme.variant == PARALLEL else seq_sweep
     iterations, elbos, steps = [], [], []
 
     def record(t, mu, alpha, step, finite):
         iterations.append(t)
-        elbos.append(
-            _elbo(VariationalState(mu, alpha), dataset, hyper, pre) if finite else float("nan")
-        )
+        elbos.append(_elbo(VariationalState(mu, alpha), pre) if finite else float("nan"))
         steps.append(step)
 
     status, n_iter, mu, alpha = _iterate(sweep, pre, cfg, record)

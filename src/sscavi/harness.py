@@ -142,7 +142,7 @@ def cmd_run_example(cfg: StudyConfig):
     with _rejected_as_config_error():
         pre = precompute(ds, cfg.hyper)
     out = _ensure_out(cfg)
-    trace = engines.run(ds, cfg.hyper, pre, cfg.scheme, cfg.run)
+    trace = engines.run(pre, cfg.scheme, cfg.run)
 
     status_col = ["running"] * len(trace.iterations)
     status_col[-1] = trace.status

@@ -6,6 +6,10 @@ zero-mean Gaussian slab of precision ``tau``. The mean-field variational family
 factorizes over coordinates; each factor is again a spike-and-slab with mean
 ``mu_j``, variance ``1/a_j`` and inclusion probability ``alpha_j``, where
 ``alpha_j`` is a deterministic sigmoid transform of ``mu_j``.
+
+:func:`precompute` turns one dataset and one set of hyperparameters into a
+:class:`Precomputed`, which keeps both; every function past it, the ELBO
+included, reads the problem from that one object.
 """
 
 from __future__ import annotations
@@ -99,10 +103,12 @@ class Hyperparams:
 
 @dataclass
 class Precomputed:
-    """Design-dependent quantities shared by every sweep.
+    """One regression problem and the design-dependent quantities shared by every sweep.
 
     Attributes
     ----------
+    dataset : the :class:`Dataset` it was built from, the object itself, not a copy.
+    hyper : the :class:`Hyperparams` it was built from.
     a : per-coordinate slab-posterior precisions, ``|X_j|^2 / sigma2 + tau``.
     d : diagonal of the sweep normalizer, ``sigma2 * a`` (= ``|X_j|^2 + sigma2*tau``).
     col_sq_norms : squared column norms of the design (the Gram diagonal).
@@ -116,6 +122,8 @@ class Precomputed:
         term per iterate.
     """
 
+    dataset: Dataset
+    hyper: Hyperparams
     a: np.ndarray
     d: np.ndarray
     col_sq_norms: np.ndarray
@@ -153,6 +161,8 @@ def precompute(dataset: Dataset, hyper: Hyperparams) -> Precomputed:
     np.fill_diagonal(xtx_lower, 0.0)
     xty = X.T @ dataset.y
     return Precomputed(
+        dataset=dataset,
+        hyper=hyper,
         a=a,
         d=d,
         col_sq_norms=col_sq_norms,
@@ -217,20 +227,16 @@ class VariationalState:
             raise ValueError("alpha entries must lie in [0, 1]")
 
 
-def expected_loglik(
-    state: VariationalState,
-    dataset: Dataset,
-    hyper: Hyperparams,
-    pre: Precomputed,
-) -> float:
+def expected_loglik(state: VariationalState, pre: Precomputed) -> float:
     """Expected Gaussian log likelihood under the factorized variational law.
 
     Coordinate-wise, a coefficient has mean ``alpha*mu`` and variance
     ``alpha/a + alpha*(1-alpha)*mu^2``, which yields the residual term plus a
     column-variance correction.
     """
+    dataset = pre.dataset
     n = dataset.n
-    sigma2 = hyper.sigma2
+    sigma2 = pre.hyper.sigma2
     mu, alpha = state.mu, state.alpha
     resid = dataset.y - dataset.X @ (alpha * mu)
     s2 = 1.0 / pre.a
@@ -242,12 +248,13 @@ def expected_loglik(
     )
 
 
-def kl_to_prior(state: VariationalState, hyper: Hyperparams, pre: Precomputed) -> float:
+def kl_to_prior(state: VariationalState, pre: Precomputed) -> float:
     """KL divergence from the variational law to the spike-and-slab prior.
 
     Uses the 0*log 0 convention; alpha is clamped only inside logarithms so
     that saturated coordinates contribute exactly their limiting value.
     """
+    hyper = pre.hyper
     mu, alpha = state.mu, state.alpha
     s2 = 1.0 / pre.a
     alpha_log = np.clip(alpha, _ALPHA_LOG_FLOOR, _ALPHA_LOG_CEIL)
@@ -262,11 +269,6 @@ def kl_to_prior(state: VariationalState, hyper: Hyperparams, pre: Precomputed) -
     return float(np.sum(slab_kl + bern_kl))
 
 
-def elbo(
-    state: VariationalState,
-    dataset: Dataset,
-    hyper: Hyperparams,
-    pre: Precomputed,
-) -> float:
+def elbo(state: VariationalState, pre: Precomputed) -> float:
     """Evidence lower bound: expected log likelihood minus the prior KL."""
-    return expected_loglik(state, dataset, hyper, pre) - kl_to_prior(state, hyper, pre)
+    return expected_loglik(state, pre) - kl_to_prior(state, pre)

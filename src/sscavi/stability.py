@@ -10,7 +10,8 @@ log-odds ``pre.prior_logit``. A mean that is not finite or not of shape
 (p,) raises ``ValueError``. The parallel radius is the
 radius of the scaled coupling R (L + L^T) R (:func:`_coupling_radius`), and
 the Wigner statistic is that radius with every probability saturated, the
-ridge-Jacobi radius, near 2 sqrt(p/n) for Gaussian designs. The
+ridge-Jacobi radius, near the Marchenko-Pastur edge gamma + 2 sqrt(gamma),
+gamma = p/n, for Gaussian designs. The
 parallel radius and the contraction check run on symmetric operators; only
 the sequential radius needs a nonsymmetric eigensolver. Each radius needs
 only the eigenvalue of largest modulus. From ``_KRYLOV_MIN_P`` = 100
@@ -399,8 +400,12 @@ def wigner_stat(X, tau: float) -> WignerStat:
     normalized by sqrt(d_j d_l). The Gram triangle comes from
     :func:`precompute`, so ``tau`` plays sigma2 tau, and the prior
     probability and the response, which do not enter the statistic, are set
-    to 1/2 and zero. Under an i.i.d. Gaussian design the ratio concentrates
-    near 2, the semicircle edge 2 sqrt(p/n).
+    to 1/2 and zero. Under an i.i.d. Gaussian design the normalized
+    off-diagonal Gram is about X^T X / n - I, whose spectrum tends to
+    [gamma - 2 sqrt(gamma), gamma + 2 sqrt(gamma)], gamma = p/n (Marchenko and
+    Pastur), so the norm concentrates near gamma + 2 sqrt(gamma) and the
+    ratio near 2 + sqrt(gamma); the semicircle edge 2 sqrt(gamma) is only the
+    gamma -> 0 limit.
     """
     data = Dataset(X, np.zeros(np.shape(X)[:1]))
     n, p = data.X.shape

@@ -17,9 +17,10 @@ pinned Gauss-Seidel iteration (:func:`pinned_gauss_seidel`), and the
 composition mu -> sweep(mu, alpha(mu)) (:func:`sweep_map`), since the
 production sweeps take alpha from their caller. Like the analysis they check,
 the oracles read the design and the hyperparameters only through
-:class:`sscavi.model.Precomputed`, alpha from its ``prior_logit``; only the
-Monte Carlo likelihood (:func:`mc_expected_loglik`) takes the dataset and
-hyperparameters beside it. No production code path uses these oracles.
+:class:`sscavi.model.Precomputed`, alpha from its ``prior_logit``; the
+Monte Carlo likelihood (:func:`mc_expected_loglik`) samples against the
+dataset and noise variance it keeps. No production code path uses these
+oracles.
 """
 
 from __future__ import annotations
@@ -289,8 +290,6 @@ def dense_assumption1(mu_star, pre) -> DenseAssumption1:
 
 def mc_expected_loglik(
     state: VariationalState,
-    dataset,
-    hyper: Hyperparams,
     pre,
     n_samples: int = 1_000_000,
     seed: int = 0,
@@ -303,8 +302,9 @@ def mc_expected_loglik(
     log-likelihood; returns (estimate, standard_error).
     """
     rng = np.random.default_rng(seed)
+    dataset = pre.dataset
     n = dataset.n
-    sigma2 = hyper.sigma2
+    sigma2 = pre.hyper.sigma2
     mu, alpha = state.mu, state.alpha
     sd = 1.0 / np.sqrt(pre.a)
     const = -0.5 * n * math.log(2.0 * math.pi * sigma2)
@@ -330,8 +330,8 @@ def _elbo_mc_check(n_samples: int, seed: int) -> CheckResult:
     ds = make_dataset(GenSpec(n=20, p=4, s=2, seed=seed))
     pre = precompute(ds, hyper)
     state = engines.fixed_point(pre)
-    analytic = expected_loglik(state, ds, hyper, pre)
-    estimate, stderr = mc_expected_loglik(state, ds, hyper, pre, n_samples, seed=seed)
+    analytic = expected_loglik(state, pre)
+    estimate, stderr = mc_expected_loglik(state, pre, n_samples, seed=seed)
     return CheckResult(
         "elbo_mc_loglik", abs(analytic - estimate) / stderr, 3.0,
         abs(analytic - estimate) < 3.0 * stderr,

@@ -53,8 +53,8 @@ def running_example_runs():
         seed = replicate_seed(MASTER_SEED, r)
         ds = make_dataset(GenSpec(n=200, p=50, s=25, seed=seed))
         pre = precompute(ds, STD_HYPER)
-        seq = engines.run(ds, STD_HYPER, pre, engines.Scheme("sequential"), RUN_CFG)
-        par = engines.run(ds, STD_HYPER, pre, engines.Scheme("parallel"), RUN_CFG)
+        seq = engines.run(pre, engines.Scheme("sequential"), RUN_CFG)
+        par = engines.run(pre, engines.Scheme("parallel"), RUN_CFG)
         out.append((ds, seq, par))
     return out
 

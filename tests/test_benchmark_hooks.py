@@ -48,7 +48,7 @@ def test_tracer_counters_read_the_call_forms():
         ds = make_dataset(GenSpec(n=60, p=p, s=5, seed=0))
         pre = precompute(ds, hyper)
         alphas = [tracer.totals["model.inclusion_prob.calls"]]
-        trace = engines.run(ds, hyper, pre, engines.Scheme(engines.SEQUENTIAL), cfg)
+        trace = engines.run(pre, engines.Scheme(engines.SEQUENTIAL), cfg)
         alphas.append(tracer.totals["model.inclusion_prob.calls"])
         engines.fixed_point(pre, cfg)
         alphas.append(tracer.totals["model.inclusion_prob.calls"])

@@ -201,7 +201,7 @@ def test_spectral_replicate_sweeps_fixed_point_twice(monkeypatch):
     # Jacobian share that sweep
     seed, cfg = replicate_seed(0, 0), RunConfig(max_iter=500)
     ds = make_dataset(GenSpec(n=200, p=50, s=25, seed=seed))
-    n_iter = run(ds, HYPER, precompute(ds, HYPER), Scheme("sequential"), cfg).n_iter
+    n_iter = run(precompute(ds, HYPER), Scheme("sequential"), cfg).n_iter
     calls = []
 
     def counted(*args, **kwargs):
@@ -326,17 +326,19 @@ def test_run_sequential_running_example(running_example_runs):
 
 def test_run_parallel_dense_diverges():
     ds, pre = _random_instance(100, 50, 50, seed=1)
-    trace = run(ds, HYPER, pre, Scheme("parallel"), RunConfig())
+    trace = run(pre, Scheme("parallel"), RunConfig())
     assert trace.status == "diverged"
     assert trace.iterations[-1] == trace.n_iter
 
 
 def test_run_records_match_status():
     ds, pre = _random_instance(50, 8, 4, seed=2)
-    trace = run(ds, HYPER, pre, Scheme("sequential"), RunConfig(max_iter=3, tol=1e-14))
+    trace = run(pre, Scheme("sequential"), RunConfig(max_iter=3, tol=1e-14))
     assert trace.status == "max_iter"
     assert trace.n_iter == 3
     assert len(trace.elbo) == 4  # init row plus three sweeps
+    # the ELBO reads the data and the prior from pre, the problem run was given
+    assert trace.elbo[-1] == elbo(trace.final_state, pre)
 
 
 def test_fixed_point_residuals():
@@ -376,7 +378,7 @@ def test_fixed_point_evaluates_no_elbo(monkeypatch):
     # iterate is the sequential run's, bit for bit
     ds, pre = _random_instance(200, 50, 25, seed=0)
     cfg = RunConfig(max_iter=500)
-    trace = run(ds, HYPER, pre, Scheme("sequential"), cfg)
+    trace = run(pre, Scheme("sequential"), cfg)
 
     def no_elbo(*_args, **_kwargs):
         raise AssertionError("fixed_point evaluated the ELBO")
@@ -423,7 +425,7 @@ def test_fixed_point_error_carries_trace():
     assert info.value.trace.final_state.mu.shape == (50,)
 
 
-def _reference_iteration(ds, pre, sweep, cfg):
+def _reference_iteration(pre, sweep, cfg):
     """Both drivers' iteration from independent pieces: :func:`sweep_map` for
     the sweep, alpha written out as expit(logit(pi) + log(tau/a)/2 + a mu^2/2),
     and the stop rule as separate finiteness and step reductions. Returns the
@@ -436,13 +438,13 @@ def _reference_iteration(ds, pre, sweep, cfg):
 
     mu = pre.xty / pre.d
     alpha = alpha_of(mu)
-    elbos, steps = [elbo(VariationalState(mu, alpha), ds, HYPER, pre)], [np.nan]
+    elbos, steps = [elbo(VariationalState(mu, alpha), pre)], [np.nan]
     for t in range(1, cfg.max_iter + 1):
         mu_new = step_map(mu)
         finite = bool(np.all(np.isfinite(mu_new)))
         step = float(np.max(np.abs(mu_new - mu))) if finite else np.nan
         mu, alpha = mu_new, alpha_of(mu_new)
-        elbos.append(elbo(VariationalState(mu, alpha), ds, HYPER, pre) if finite else np.nan)
+        elbos.append(elbo(VariationalState(mu, alpha), pre) if finite else np.nan)
         steps.append(step)
         if not finite or np.max(np.abs(mu)) > cfg.divergence_threshold:
             return "diverged", t, mu, alpha, elbos, steps
@@ -462,8 +464,8 @@ def test_drivers_match_reference_iteration_bit_for_bit(shape, seed):
     ds, pre = _random_instance(*shape, seed=seed)
     cfg = RunConfig()
     for variant, sweep in ((PARALLEL, par_sweep), (SEQUENTIAL, seq_sweep)):
-        status, n_iter, mu, alpha, elbos, steps = _reference_iteration(ds, pre, sweep, cfg)
-        trace = run(ds, HYPER, pre, Scheme(variant), cfg)
+        status, n_iter, mu, alpha, elbos, steps = _reference_iteration(pre, sweep, cfg)
+        trace = run(pre, Scheme(variant), cfg)
         assert (trace.status, trace.n_iter) == (status, n_iter)
         assert trace.iterations == list(range(n_iter + 1))
         np.testing.assert_array_equal(trace.final_state.mu, mu)
@@ -496,7 +498,7 @@ def test_nonfinite_iterate_diverges_without_new_warnings(bad, monkeypatch):
     records = []
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        trace = run(ds, HYPER, pre, Scheme(SEQUENTIAL), RunConfig())
+        trace = run(pre, Scheme(SEQUENTIAL), RunConfig())
         calls.clear()
         status, n_iter, _, _ = engines._iterate(
             engines.seq_sweep, pre, RunConfig(), lambda *record: records.append(record)
@@ -536,7 +538,7 @@ def test_sequential_elbo_monotone_across_instances(running_example_runs):
 
 def test_divergence_is_normal_return():
     ds, pre = _random_instance(100, 50, 50, seed=3)
-    trace = run(ds, HYPER, pre, Scheme("parallel"), RunConfig())
+    trace = run(pre, Scheme("parallel"), RunConfig())
     assert trace.status in ("diverged", "converged", "max_iter")
 
 

@@ -1,8 +1,8 @@
 """Package layering, read from the source without importing it: the oracles
 in verify.py stay out of production code paths, no module reads another's
 private names, the package's ``__init__`` binds nothing but its version, and
-no function takes the hyperparameters beside ``Precomputed`` unless it reads
-the ELBO's sigma2, tau or pi.
+no function takes the dataset or the hyperparameters beside ``Precomputed``,
+which keeps both.
 The last test imports the package: each list of accepted values is stated
 once, where it is validated, and the CLI offers that same list."""
 
@@ -76,13 +76,6 @@ def test_no_module_reads_a_private_name_of_another():
     assert {name: found for name, found in reads.items() if found} == {}
 
 
-# the functions that read sigma2, tau or pi beside the Gram pieces: the ELBO and its oracle
-_ELBO_READERS = {
-    ("model", "expected_loglik"), ("model", "kl_to_prior"), ("model", "elbo"),
-    ("engines", "run"), ("verify", "mc_expected_loglik"),
-}
-
-
 def _parameters(tree):
     """(name, {parameter: default node or None}) for every function in ``tree``."""
     for node in ast.walk(tree):
@@ -96,17 +89,18 @@ def _parameters(tree):
 
 
 def test_precomputed_is_the_one_carrier_past_precompute():
-    # past precompute, the design and the hyperparameters reach the maps through
-    # Precomputed alone; only the ELBO readers also take the hyperparameters
+    # past precompute, the dataset and the hyperparameters reach every function,
+    # the ELBO included, through Precomputed alone, so no call can pair a
+    # Precomputed with another problem's data or prior
     both, optional = set(), set()
     for module, tree in _trees().items():
         for name, params in _parameters(tree):
-            if "pre" in params and "hyper" in params:
+            if "pre" in params and ("hyper" in params or "dataset" in params):
                 both.add((module, name))
             default = params.get("pre")
             if isinstance(default, ast.Constant) and default.value is None:
                 optional.add((module, name))
-    assert both == _ELBO_READERS
+    assert both == set()
     assert optional == set()
 
 

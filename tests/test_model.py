@@ -70,6 +70,17 @@ def test_precompute_matches_bruteforce_loops():
         assert pre.xty[j] == pytest.approx(f_j, rel=1e-12)
 
 
+def test_precompute_keeps_its_inputs_uncopied():
+    # Precomputed carries the problem it was built from by reference: a copy
+    # of X would add 8np bytes to the peak memory of a large run
+    ds = make_dataset(GenSpec(n=40, p=8, s=4, seed=7))
+    hyper = Hyperparams(pi=0.1, tau=10.0, sigma2=2.0)
+    pre = precompute(ds, hyper)
+    assert pre.dataset is ds
+    assert pre.dataset.X is ds.X
+    assert pre.hyper is hyper
+
+
 def test_precompute_zero_column_allowed():
     X = np.zeros((3, 2))
     X[:, 0] = [1.0, 2.0, 3.0]
@@ -142,7 +153,7 @@ def test_state_alpha_is_derived():
     ds = make_dataset(GenSpec(n=30, p=5, s=2, seed=3))
     hyper = Hyperparams(pi=0.5, tau=1.0)
     pre = precompute(ds, hyper)
-    state = engines.run(ds, hyper, pre, cfg=engines.RunConfig(max_iter=3)).final_state
+    state = engines.run(pre, cfg=engines.RunConfig(max_iter=3)).final_state
     np.testing.assert_allclose(
         state.alpha, inclusion_prob(state.mu, pre.a, pre.prior_logit), atol=1e-12
     )
@@ -153,26 +164,44 @@ def test_state_alpha_is_derived():
 
 def test_elbo_zero_mean_orthonormal_hand_computed():
     # orthonormal design, mu = 0: coupling terms vanish and every summand is
-    # available in closed form, re-derived here term by term
+    # available in closed form, re-derived here term by term; the second prior
+    # moves pi, tau and sigma2 off 1/2, 1 and 1, so the ELBO must read all three
     n, p = 4, 3
     X = np.zeros((n, p))
     X[0, 0] = X[1, 1] = X[2, 2] = 1.0
     y = np.array([1.0, -2.0, 0.5, 3.0])
-    hyper = Hyperparams(pi=0.5, tau=1.0, sigma2=1.0)
     ds = Dataset(X=X, y=y)
-    pre = precompute(ds, hyper)
-
     mu = np.zeros(p)
-    state = VariationalState(mu, inclusion_prob(mu, pre.a, pre.prior_logit))
-    a = 2.0  # |X_j|^2 + tau
-    alpha = 1.0 / (1.0 + math.sqrt(a))  # sigmoid(log(1/sqrt(2)))
-    assert state.alpha[0] == pytest.approx(alpha, abs=1e-14)
 
+    # pi = 1/2, tau = sigma2 = 1: a = |X_j|^2 + tau = 2, alpha = sigmoid(log(1/sqrt(2)))
+    pre = precompute(ds, Hyperparams(pi=0.5, tau=1.0, sigma2=1.0))
+    state = VariationalState(mu, inclusion_prob(mu, pre.a, pre.prior_logit))
+    a = 2.0
+    alpha = 1.0 / (1.0 + math.sqrt(a))
+    assert state.alpha[0] == pytest.approx(alpha, abs=1e-14)
     loglik = -n / 2 * math.log(2 * math.pi) - y @ y / 2 - p * alpha * (1 / a) / 2
     slab_kl = -0.5 * alpha * (1 + math.log(1 / a) - 1 / a)
     bern_kl = alpha * math.log(alpha / 0.5) + (1 - alpha) * math.log((1 - alpha) / 0.5)
     expected = loglik - p * (slab_kl + bern_kl)
-    assert elbo(state, ds, hyper, pre) == pytest.approx(expected, abs=1e-12)
+    assert elbo(state, pre) == pytest.approx(expected, abs=1e-12)
+
+    # pi = 0.1, tau = 10, sigma2 = 2: a = |X_j|^2 / sigma2 + tau = 10.5 and
+    # alpha / (1 - alpha) = (pi / (1 - pi)) sqrt(tau / a) = sqrt(20/21) / 9
+    pi, tau, sigma2 = 0.1, 10.0, 2.0
+    pre = precompute(ds, Hyperparams(pi=pi, tau=tau, sigma2=sigma2))
+    state = VariationalState(mu, inclusion_prob(mu, pre.a, pre.prior_logit))
+    a = 10.5
+    odds = math.sqrt(20.0 / 21.0) / 9.0
+    alpha = odds / (1.0 + odds)
+    assert state.alpha[0] == pytest.approx(alpha, abs=1e-14)
+    loglik = (
+        -n / 2 * math.log(2 * math.pi * sigma2) - y @ y / (2 * sigma2)
+        - p * alpha * (1 / a) / (2 * sigma2)
+    )
+    slab_kl = -0.5 * alpha * (1 + math.log(tau / a) - tau / a)
+    bern_kl = alpha * math.log(alpha / pi) + (1 - alpha) * math.log((1 - alpha) / (1 - pi))
+    expected = loglik - p * (slab_kl + bern_kl)
+    assert elbo(state, pre) == pytest.approx(expected, abs=1e-12)
 
 
 def test_elbo_handles_saturated_alpha():
@@ -182,4 +211,4 @@ def test_elbo_handles_saturated_alpha():
     mu = np.full(3, 20.0)
     state = VariationalState(mu, inclusion_prob(mu, pre.a, pre.prior_logit))
     assert np.all(state.alpha == 1.0)
-    assert math.isfinite(elbo(state, ds, hyper, pre))
+    assert math.isfinite(elbo(state, pre))

@@ -16,7 +16,7 @@ from sscavi.stability import (
     spectral_radius,
     wigner_stat,
 )
-from sscavi.synth import GenSpec, make_dataset, replicate_seed
+from sscavi.synth import GenSpec, gen_design, make_dataset, replicate_seed
 from sscavi.verify import (
     dense_assumption1,
     dense_radii,
@@ -400,7 +400,8 @@ def test_theorem2_direction_on_converged_instances(dense_study, small_study):
 def test_parallel_radius_scale_in_saturated_regime(dense_study):
     # dense saturated regime: radius should reach the 2(1-eps)sqrt(p/n) scale
     # (with 15% slack) in at least 90% of replicates; at eps = 0 that is the
-    # semicircle edge of wigner_stat, the saturated parallel radius
+    # semicircle edge 2 sqrt(p/n), below the Marchenko-Pastur edge
+    # p/n + 2 sqrt(p/n) of wigner_stat, the saturated parallel radius
     hits = total = 0
     for row in dense_study:
         if not row["seq_converged"]:
@@ -481,6 +482,18 @@ def test_wigner_stat_gaussian_scale():
         X = np.random.default_rng(seed).standard_normal((1000, 200))
         stat = wigner_stat(X, tau=1.0)
         assert 1.8 <= stat.ratio <= 2.6
+
+
+def test_wigner_stat_near_marchenko_pastur_edge():
+    # the saturated parallel radius of a Gaussian design tends to the
+    # Marchenko-Pastur edge gamma + 2 sqrt(gamma), not to the semicircle edge
+    # 2 sqrt(gamma); at gamma = 1/4 they are 1.25 and 1.0
+    gamma = 500 / 2000
+    mp_edge, semicircle_edge = gamma + 2 * np.sqrt(gamma), 2 * np.sqrt(gamma)
+    for r in range(3):
+        X = gen_design(GenSpec(n=2000, p=500, s=0, seed=replicate_seed(0, r)))
+        norm = wigner_stat(X, tau=1.0).norm
+        assert abs(norm - mp_edge) < abs(norm - semicircle_edge), (r, norm)
 
 
 def test_perturbation_decay_linear_maps():
