@@ -50,24 +50,29 @@ def _finite_array(x, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """Design matrix, response, and optional generating ground truth."""
+    """Design matrix, response, and optional generating ground truth.
+
+    Frozen: :class:`Precomputed` keeps the dataset by reference, so a field
+    assigned after :func:`precompute` would pair the stored Gram with other
+    data. The arrays themselves stay writable.
+    """
 
     X: np.ndarray
     y: np.ndarray
     beta_true: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.X = _finite_array(self.X, "X", 2)
-        self.y = _finite_array(self.y, "y", 1)
+        object.__setattr__(self, "X", _finite_array(self.X, "X", 2))
+        object.__setattr__(self, "y", _finite_array(self.y, "y", 1))
         n, p = self.X.shape
         if n < 1 or p < 1:
             raise ValueError("X must have at least one row and one column")
         if self.y.shape[0] != n:
             raise ValueError(f"y has length {self.y.shape[0]}, expected {n}")
         if self.beta_true is not None:
-            self.beta_true = _finite_array(self.beta_true, "beta_true", 1)
+            object.__setattr__(self, "beta_true", _finite_array(self.beta_true, "beta_true", 1))
             if self.beta_true.shape[0] != p:
                 raise ValueError("beta_true length must equal the number of columns")
 

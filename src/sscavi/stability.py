@@ -25,16 +25,16 @@ The sequential radius runs Arnoldi on the Jacobian operator v -> J_seq v
 (two ``dtrmv`` on the stored Gram triangle and one ``dtrsv`` on the sweep
 system), so no dense J_seq is formed from ``_KRYLOV_MIN_P`` up;
 :func:`jacobian_seq` is that operator's dense form, the matrix of the dense
-path and of the oracles.
+path and of the oracles. :func:`_krylov_radius` is the one place this
+dispatch happens; :func:`spectral_radius` is a dense oracle outside it.
 The crossover, measured with one BLAS thread as the median time of both
 radii together while Arnoldi still ran on a dense J_seq: dense 2.0 ms
 against ARPACK 2.1 ms at p = 75, and 4.2 ms against 2.2 ms at p = 100
 (Arnoldi alone wins from p = 75, Lanczos alone from about p = 150). A
 dense eigensolver that fails raises ``LinAlgError``.
-The contraction check takes its two top eigenvalues the same way, Lanczos
-from ``_KRYLOV_MIN_P`` up and dense ``eigvalsh`` below, each path on the
-same operator: delta_quad on K K^T with K = Lc^{-1} B C, the scaled core
-factored once as C = Lc Lc^T, and the coupling norm on Ls^T Ls. Its
+The contraction check takes its two top eigenvalues the same way, each
+path on the same operator: delta_quad on K K^T with K = Lc^{-1} B C, the
+scaled core factored once as C = Lc Lc^T, and the coupling norm on Ls^T Ls. Its
 smallest eigenvalue is bounded by Weyl's inequality and solved for only
 when that bound is not enough (:func:`check_assumption1`). The independent
 oracles for these operators live in :mod:`sscavi.verify`.
@@ -79,25 +79,22 @@ _RESIDUAL_TOL = 1e-6
 _KRYLOV_MIN_P = 100
 
 
-def _finite_mean(mu_star, p: int) -> np.ndarray:
-    mu_star = np.asarray(mu_star, dtype=np.float64)
-    if mu_star.shape != (p,):
-        raise ValueError(f"mu_star must have shape ({p},), got {mu_star.shape}")
-    if not np.all(np.isfinite(mu_star)):
-        raise ValueError("mu_star must be finite")
-    return mu_star
-
-
 def _linearization(mu_star, pre: Precomputed):
-    """alpha(mu), its mean-derivative alpha' and w = alpha + alpha' * mu.
+    """The checked mean mu, alpha(mu), its mean-derivative alpha' and w = alpha + alpha' * mu.
 
+    A mean that is not of shape (p,) or not finite raises ``ValueError``.
     diag(w) is the derivative of alpha(mu) * mu, the vector through which the
     entry iterate reaches both sweeps' right-hand sides: the one statement of
     w for both Jacobians and the parallel radius.
     """
-    alpha = inclusion_prob(mu_star, pre.a, pre.prior_logit)
-    grad = inclusion_prob_grad(mu_star, pre.a, alpha)
-    return alpha, grad, alpha + grad * mu_star
+    mu = np.asarray(mu_star, dtype=np.float64)
+    if mu.shape != (pre.p,):
+        raise ValueError(f"mu_star must have shape ({pre.p},), got {mu.shape}")
+    if not np.all(np.isfinite(mu)):
+        raise ValueError("mu_star must be finite")
+    alpha = inclusion_prob(mu, pre.a, pre.prior_logit)
+    grad = inclusion_prob_grad(mu, pre.a, alpha)
+    return mu, alpha, grad, alpha + grad * mu
 
 
 def _seq_jacobian_apply(alpha, w, g, pre: Precomputed):
@@ -137,13 +134,12 @@ def jacobian_seq(mu_star, pre: Precomputed) -> np.ndarray:
     """Analytic Jacobian of the frozen-probability sequential sweep at ``mu_star``.
 
     The dense form of :func:`_seq_jacobian_apply`, the one statement of this
-    Jacobian: that map applied to the identity. Below ``_KRYLOV_MIN_P``
-    coordinates :func:`analyze_stability` takes rho_seq from the same dense
-    form, and :mod:`sscavi.verify` and the tests hold the Arnoldi radius and
-    the finite-difference Jacobian to this matrix.
+    Jacobian: that map applied to the identity. The dense path of
+    :func:`_krylov_radius` in :func:`analyze_stability` takes rho_seq from
+    the same dense form, and :mod:`sscavi.verify` and the tests hold the
+    Arnoldi radius and the finite-difference Jacobian to this matrix.
     """
-    mu_star = _finite_mean(mu_star, pre.p)
-    alpha, grad, w = _linearization(mu_star, pre)
+    mu_star, alpha, grad, w = _linearization(mu_star, pre)
     swept = engines.seq_sweep(mu_star, alpha, pre)
     return _seq_jacobian_apply(alpha, w, grad * swept, pre)(np.eye(pre.p))
 
@@ -158,8 +154,7 @@ def jacobian_par(mu_star, pre: Precomputed) -> np.ndarray:
     is :func:`wigner_stat`. This is the oracle that :mod:`sscavi.verify` and
     the tests hold that radius and the finite-difference Jacobian to.
     """
-    mu_star = _finite_mean(mu_star, pre.p)
-    _, _, w = _linearization(mu_star, pre)
+    _, _, _, w = _linearization(mu_star, pre)
     offdiag_full = pre.xtx_lower + pre.xtx_lower.T
     return -(offdiag_full * w[None, :]) / pre.d[:, None]
 
@@ -167,12 +162,14 @@ def jacobian_par(mu_star, pre: Precomputed) -> np.ndarray:
 def _krylov_radius(matvec, p: int, symmetric: bool, dense_eigvals):
     """Largest eigenvalue modulus of the p x p operator ``matvec``.
 
-    From ``_KRYLOV_MIN_P`` coordinates up, ARPACK finds it: Lanczos
-    (``eigsh``) when ``symmetric``, else Arnoldi (``eigs``), with the fixed
-    parameters of the module docstring, so a rerun repeats the result. Below
-    that size, or when ARPACK raises ``ArpackError`` (which includes
-    ``ArpackNoConvergence``), ``dense_eigvals()`` returns every eigenvalue of
-    the same matrix.
+    The module's one ARPACK/dense dispatch. From ``_KRYLOV_MIN_P`` coordinates
+    up, ARPACK finds it: Lanczos (``eigsh``) when ``symmetric``, else Arnoldi
+    (``eigs``), with the fixed parameters of the module docstring, so a rerun
+    repeats the result. Below that size, or when ARPACK raises
+    ``ArpackError`` (which includes ``ArpackNoConvergence``),
+    ``dense_eigvals()`` returns every eigenvalue of the same matrix. The
+    crossover was measured while Arnoldi still ran on a dense J_seq (module
+    docstring), before the sequential radius moved to the operator.
     """
     if p >= _KRYLOV_MIN_P:
         from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, eigsh
@@ -198,13 +195,12 @@ def _coupling_radius(pre: Precomputed, r) -> float:
     a mu^2) >= 0, this is the radius of :func:`jacobian_par`: J = -D^{-1}
     (L + L^T) diag(w) has the eigenvalues of -R (L + L^T) R, since
     eig(XY) = eig(YX) (also where some w_j = 0). Only the stored lower
-    triangle is scaled. From ``_KRYLOV_MIN_P`` coordinates up, Lanczos
-    applies it with ``dsymv``; below that size, or when ARPACK fails,
-    ``eigvalsh`` solves it.
+    triangle is scaled; :func:`_krylov_radius` applies it with ``dsymv`` or
+    solves it with ``eigvalsh``.
     """
     sym_lower = pre.xtx_lower * np.outer(r, r)
     if not np.all(np.isfinite(sym_lower)):
-        raise ValueError("spectral_radius expects finite entries")
+        raise ValueError("the D^{-1/2}-scaled Gram triangle is not finite")
     return _krylov_radius(
         # the stored triangle, read as the upper triangle of its Fortran-ordered transpose
         lambda v: dsymv(1.0, sym_lower.T, v, lower=0), pre.p, True,
@@ -213,18 +209,18 @@ def _coupling_radius(pre: Precomputed, r) -> float:
 
 
 def spectral_radius(jac: np.ndarray) -> float:
-    """Largest eigenvalue modulus of a square matrix.
+    """Largest eigenvalue modulus of a square matrix: the dense oracle.
 
-    From ``_KRYLOV_MIN_P`` rows up, Arnoldi (ARPACK ``eigs``) finds it; below
-    that size, or when ARPACK fails, the dense nonsymmetric QR eigensolver
-    does. A dense eigensolver that fails to converge raises ``LinAlgError``.
+    The dense nonsymmetric QR eigensolver (``eigvals``) at every size; no
+    production path calls it. A solver that fails to converge raises
+    ``LinAlgError``.
     """
     jac = np.asarray(jac, dtype=np.float64)
     if jac.ndim != 2 or jac.shape[0] != jac.shape[1]:
         raise ValueError("spectral_radius expects a square matrix")
     if not np.all(np.isfinite(jac)):
         raise ValueError("spectral_radius expects finite entries")
-    return _krylov_radius(jac.dot, jac.shape[0], False, lambda: np.linalg.eigvals(jac))
+    return float(np.max(np.abs(np.linalg.eigvals(jac))))
 
 
 @dataclass
@@ -267,18 +263,16 @@ def check_assumption1(mu_star, pre: Precomputed) -> Assumption1Result:
     eigenvalue of K K^T = Lc^{-1} B C^2 B Lc^{-T}, K = Lc^{-1} B C and
     B = diag(b) (the top generalized eigenvalue of the pencil (B C^2 B, C)),
     and the coupling norm the top eigenvalue of Ls^T Ls. Both come from
-    :func:`_krylov_radius`: from ``_KRYLOV_MIN_P`` coordinates up, Lanczos
-    applies the first with two ``dtrsv`` and two ``dsymv`` and the second
-    with two ``dtrmv``, all on stored triangles; below that size, or when
-    ARPACK fails, ``eigvalsh`` solves K K^T, K from one triangular solve
-    with Lc, and Ls^T Ls.
+    :func:`_krylov_radius`, which applies the first with two ``dtrsv`` and
+    two ``dsymv`` and the second with two ``dtrmv``, all on stored
+    triangles, or solves K K^T, K from one triangular solve with Lc, and
+    Ls^T Ls with ``eigvalsh``.
     The bound min(0.5, lam_min(C + diag(1/alpha)) / coupling_norm_sq) rarely
     needs lam_min: by Weyl's inequality, C > 0 gives lam_min > min(1/alpha),
     so ``delta_bound`` is 0.5 whenever 2 min(1/alpha) >= coupling_norm_sq,
     and only the other case runs ``eigvalsh``.
     """
-    mu_star = _finite_mean(mu_star, pre.p)
-    alpha_raw = inclusion_prob(mu_star, pre.a, pre.prior_logit)
+    mu_star, alpha_raw, _, _ = _linearization(mu_star, pre)
     flags: List[str] = []
     if np.any(alpha_raw > 1.0 - _ALPHA_CLAMP) or np.any(alpha_raw < _ALPHA_CLAMP):
         flags.append("alpha_saturated")
@@ -359,18 +353,17 @@ def analyze_stability(mu_star, pre: Precomputed) -> StabilityReport:
     Both sup-norm sweep residuals come from :func:`engines.sweep_residuals`,
     whose sequential sweep S(mu) the sequential Jacobian reuses, so the
     analysis sweeps once. rho_seq is the radius of
-    :func:`_seq_jacobian_apply`: Arnoldi on that map from ``_KRYLOV_MIN_P``
-    coordinates up, ``eigvals`` on its dense form below that or when ARPACK
-    fails. A residual above 1e-6 (``_RESIDUAL_TOL``) does not abort the
-    analysis but is flagged ``not_fixed_point``, since the radii describe
-    local stability only at a fixed point. An operator that overflows (for
+    :func:`_seq_jacobian_apply` by :func:`_krylov_radius`, whose dense path
+    runs ``eigvals`` on that map's dense form. A residual above 1e-6
+    (``_RESIDUAL_TOL``) does not abort the analysis but is flagged
+    ``not_fixed_point``, since the radii describe local stability only at a
+    fixed point. An operator that overflows (for
     instance the curvature mu^2 a (1 - alpha) at an extreme slab precision)
     raises ``FloatingPointError``: it is a numerical breakdown, not a result.
     """
     p = pre.p
-    mu_star = _finite_mean(mu_star, p)
     with np.errstate(over="raise", invalid="raise"):
-        alpha, grad, w = _linearization(mu_star, pre)
+        mu_star, alpha, grad, w = _linearization(mu_star, pre)
         seq_residual, par_residual, swept = engines.sweep_residuals(mu_star, alpha, pre)
         flags = [] if max(seq_residual, par_residual) <= _RESIDUAL_TOL else ["not_fixed_point"]
         apply = _seq_jacobian_apply(alpha, w, grad * swept, pre)

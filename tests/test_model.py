@@ -1,5 +1,6 @@
 """Model-layer tests: precomputation, inclusion probabilities, ELBO."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -79,6 +80,17 @@ def test_precompute_keeps_its_inputs_uncopied():
     assert pre.dataset is ds
     assert pre.dataset.X is ds.X
     assert pre.hyper is hyper
+
+
+def test_dataset_fields_cannot_be_reassigned_after_precompute():
+    # the ELBO reads y from pre.dataset while the sweeps read the stored xty:
+    # a reassigned field would pair the two with different data
+    ds = make_dataset(GenSpec(n=40, p=8, s=4, seed=7))
+    pre = precompute(ds, Hyperparams(pi=0.5, tau=1.0))
+    y = ds.y
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ds.y = np.zeros(40)
+    assert pre.dataset.y is ds.y is y
 
 
 def test_precompute_zero_column_allowed():

@@ -32,7 +32,7 @@ HYPER = Hyperparams(pi=0.5, tau=1.0, sigma2=1.0)
 
 def _rho_par(mu, pre):
     """rho_par as analyze_stability takes it: the coupling radius at r = sqrt(w / d)."""
-    _, _, w = stability._linearization(mu, pre)
+    _, _, _, w = stability._linearization(mu, pre)
     return _coupling_radius(pre, np.sqrt(w / pre.d))
 
 
@@ -152,7 +152,7 @@ def test_krylov_degenerate_matrices_return_dense_result():
     # a zero operator makes ARPACK stop on a zero Krylov vector (error -9); a
     # nilpotent one never converges; both fall back to the dense solve
     for mat in (np.zeros((p, p)), strict):
-        assert spectral_radius(mat) == 0.0
+        assert stability._krylov_radius(mat.dot, p, False, lambda: np.linalg.eigvals(mat)) == 0.0
     # a decoupled design: both Jacobians vanish
     X = np.vstack([2.0 * np.eye(p), np.zeros((3, p))])
     pre = precompute(Dataset(X=X, y=np.arange(p + 3, dtype=float) / p), HYPER)
@@ -182,12 +182,12 @@ def test_krylov_failure_falls_back_to_dense(monkeypatch):
     assert spectral_radius(jac) == dense_seq
     assert _rho_par(state.mu, pre) == dense_par
     assert check_assumption1(state.mu, pre) == dense_check
-    assert len(calls) == 4
+    assert len(calls) == 3
     # the Jacobian operator falls back to eigvals on its dense form, jacobian_seq
     report = analyze_stability(state.mu, pre)
     assert (report.rho_seq, report.rho_par) == (dense_seq, dense_par)
     assert report.assumption1 == dense_check
-    assert len(calls) == 8
+    assert len(calls) == 7
 
     def raising_eigvals(_):
         raise np.linalg.LinAlgError("no convergence")
@@ -196,6 +196,22 @@ def test_krylov_failure_falls_back_to_dense(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", raising_eigvals)
     with pytest.raises(np.linalg.LinAlgError, match="no convergence"):
         spectral_radius(jac)
+
+
+def test_spectral_radius_is_dense_at_any_size(monkeypatch):
+    # the oracle never goes through ARPACK, even far above the crossover
+    import scipy.sparse.linalg as sla
+
+    _, pre, state = _converged_instance(n=800, p=400, s=200, seed=3)
+    jac = jacobian_seq(state.mu, pre)
+    dense = float(np.max(np.abs(np.linalg.eigvals(jac))))
+
+    def no_arpack(*_args, **_kwargs):
+        raise AssertionError("spectral_radius called ARPACK")
+
+    monkeypatch.setattr(sla, "eigs", no_arpack)
+    monkeypatch.setattr(sla, "eigsh", no_arpack)
+    assert spectral_radius(jac) == dense
 
 
 def test_default_study_stays_on_dense_path(tmp_path, monkeypatch):
@@ -446,6 +462,15 @@ def test_wigner_stat_repeated_column_pair():
     assert stat.ratio == pytest.approx((6.0 / 7.0) / np.sqrt(2.0 / 4.0), abs=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_wigner_stat_rejects_overflowing_scaled_gram():
+    # two columns with d_j = 1e-310: 1 / sqrt(d) squared overflows, and 0 * inf is NaN
+    X = np.zeros((4, 3))
+    X[:, 0] = [1.0, 2.0, 0.0, 1.0]
+    with pytest.raises(ValueError, match=r"D\^\{-1/2\}-scaled Gram triangle is not finite"):
+        wigner_stat(X, 1e-310)
+
+
 def test_wigner_stat_validation():
     with pytest.raises(ValueError):
         wigner_stat(np.ones((2, 3)), tau=1.0)  # p > n
@@ -494,6 +519,17 @@ def test_wigner_stat_near_marchenko_pastur_edge():
         X = gen_design(GenSpec(n=2000, p=500, s=0, seed=replicate_seed(0, r)))
         norm = wigner_stat(X, tau=1.0).norm
         assert abs(norm - mp_edge) < abs(norm - semicircle_edge), (r, norm)
+
+
+def test_wigner_stat_parallel_phase_boundary():
+    # the saturated parallel map is unstable iff gamma + 2 sqrt(gamma) > 1, that is
+    # gamma > (sqrt(2) - 1)^2 ~ 0.172: at n = 1000 the edge is 0.813 at p = 120 and
+    # 1.25 at p = 250
+    for r in range(3):
+        seed = replicate_seed(0, r)
+        below = wigner_stat(gen_design(GenSpec(n=1000, p=120, s=0, seed=seed)), tau=1.0).norm
+        above = wigner_stat(gen_design(GenSpec(n=1000, p=250, s=0, seed=seed)), tau=1.0).norm
+        assert below < 1.0 < above, (r, below, above)
 
 
 def test_perturbation_decay_linear_maps():
