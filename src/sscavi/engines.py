@@ -31,22 +31,17 @@ of 64 or 128 were 12-18% faster than 256 at p = 400 and 1000, but blocks of
 64 were slower than one solve at p = 200 (0.079 against 0.063 ms).
 
 At the default study's sizes the iteration is bound by per-call overhead,
-not by BLAS. On the same machine (``BENCH_23.json``, medians of six
-processes), one ``fixed_point`` iterate at (n, p, s) = (200, 50, 25) took
-33 us when the one-block sweep sliced T and wrote its diagonal with
-``fill_diagonal``, alpha recomputed log(tau/a) on every call (7.0 us) and
-the stop rule made three separate reductions. It takes 23 us now: the sweep
-12 us (4 us of it in ``dtrmv`` and ``dtrsv``, 5 us in forming T), alpha
-4.6 us, since ``precompute`` stores the prior log-odds, and the stop rule
-about 6 us, one step reduction whose finiteness certifies the iterate and
-the divergence check.
+not by BLAS (``BENCH_23.json``), so the one-block path forms T without
+slicing the stored triangle, alpha reads the prior log-odds ``precompute``
+stores, and the stop rule is one step reduction whose finiteness certifies
+the iterate and the divergence check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 from scipy.linalg.blas import dsymv, dtrmv, dtrsv
@@ -89,7 +84,7 @@ class Scheme:
 class RunConfig:
     max_iter: int = 1000
     tol: float = 1e-8
-    divergence_threshold: float = 1e8
+    divergence_threshold: ClassVar[float] = 1e8
     init: str = "diagls"  # one of INITS
 
     def __post_init__(self):

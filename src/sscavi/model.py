@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg.blas import dsyrk
-from scipy.special import expit
+from scipy.special import expit, rel_entr
 
 __all__ = [
     "Dataset",
@@ -36,9 +36,11 @@ __all__ = [
     "elbo",
 ]
 
-# alpha is clamped to this range inside logarithms only (0*log 0 == 0 elsewhere)
-_ALPHA_LOG_FLOOR = 1e-300
-_ALPHA_LOG_CEIL = 1.0 - 1e-16
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr``; ``arr`` itself keeps its flags."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
 
 def _finite_array(x, name: str, ndim: int) -> np.ndarray:
@@ -47,16 +49,18 @@ def _finite_array(x, name: str, ndim: int) -> np.ndarray:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
-    return arr
+    return _read_only(arr)
 
 
 @dataclass(frozen=True)
 class Dataset:
     """Design matrix, response, and optional generating ground truth.
 
-    Frozen: :class:`Precomputed` keeps the dataset by reference, so a field
-    assigned after :func:`precompute` would pair the stored Gram with other
-    data. The arrays themselves stay writable.
+    Frozen, with read-only views of its arrays: :class:`Precomputed` keeps
+    the dataset by reference, so a field assigned or an entry written after
+    :func:`precompute` would pair the stored Gram with other data. The views
+    are not copies: the caller's own arrays keep their flags, and a write
+    through one of them still reaches the dataset.
     """
 
     X: np.ndarray
@@ -106,9 +110,11 @@ class Hyperparams:
         return math.log(self.pi) - math.log1p(-self.pi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Precomputed:
     """One regression problem and the design-dependent quantities shared by every sweep.
+
+    Frozen, and its arrays are read-only, for the reason :class:`Dataset` is.
 
     Attributes
     ----------
@@ -168,12 +174,12 @@ def precompute(dataset: Dataset, hyper: Hyperparams) -> Precomputed:
     return Precomputed(
         dataset=dataset,
         hyper=hyper,
-        a=a,
-        d=d,
-        col_sq_norms=col_sq_norms,
-        xtx_lower=xtx_lower,
-        xty=xty,
-        prior_logit=prior_logit(a, hyper),
+        a=_read_only(a),
+        d=_read_only(d),
+        col_sq_norms=_read_only(col_sq_norms),
+        xtx_lower=_read_only(xtx_lower),
+        xty=_read_only(xty),
+        prior_logit=_read_only(prior_logit(a, hyper)),
     )
 
 
@@ -205,8 +211,7 @@ def inclusion_prob_grad(mu, a, alpha):
     Chain rule through the sigmoid: alpha * (1 - alpha) * a * mu. Saturated
     alpha (exactly 0 or 1) gives a zero derivative.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    return alpha * (1.0 - alpha) * np.asarray(a) * np.asarray(mu)
+    return alpha * (1.0 - alpha) * a * mu
 
 
 @dataclass
@@ -256,21 +261,15 @@ def expected_loglik(state: VariationalState, pre: Precomputed) -> float:
 def kl_to_prior(state: VariationalState, pre: Precomputed) -> float:
     """KL divergence from the variational law to the spike-and-slab prior.
 
-    Uses the 0*log 0 convention; alpha is clamped only inside logarithms so
-    that saturated coordinates contribute exactly their limiting value.
+    The Bernoulli part is the relative entropy of ``alpha`` to ``pi`` by
+    ``scipy.special.rel_entr``, whose 0*log 0 = 0 convention gives saturated
+    coordinates (alpha exactly 0 or 1) their limiting value.
     """
     hyper = pre.hyper
     mu, alpha = state.mu, state.alpha
     s2 = 1.0 / pre.a
-    alpha_log = np.clip(alpha, _ALPHA_LOG_FLOOR, _ALPHA_LOG_CEIL)
     slab_kl = -0.5 * alpha * (1.0 + np.log(hyper.tau * s2) - hyper.tau * (s2 + mu * mu))
-    bern_kl = np.where(
-        alpha > 0.0, alpha * (np.log(alpha_log) - math.log(hyper.pi)), 0.0
-    ) + np.where(
-        alpha < 1.0,
-        (1.0 - alpha) * (np.log1p(-alpha_log) - math.log1p(-hyper.pi)),
-        0.0,
-    )
+    bern_kl = rel_entr(alpha, hyper.pi) + rel_entr(1.0 - alpha, 1.0 - hyper.pi)
     return float(np.sum(slab_kl + bern_kl))
 
 

@@ -188,6 +188,18 @@ def _krylov_radius(matvec, p: int, symmetric: bool, dense_eigvals):
     return float(np.max(np.abs(dense_eigvals())))
 
 
+def _scaled_triangle(pre: Precomputed, r) -> np.ndarray:
+    """The stored Gram triangle scaled to R L R, R = diag(r); raises if not finite.
+
+    Every r carries a factor d^{-1/2}, so r_j r_l overflows where d_j is
+    subnormal, and 0 * inf leaves NaN in the triangle.
+    """
+    scaled = pre.xtx_lower * np.outer(r, r)
+    if not np.all(np.isfinite(scaled)):
+        raise ValueError("the D^{-1/2}-scaled Gram triangle is not finite")
+    return scaled
+
+
 def _coupling_radius(pre: Precomputed, r) -> float:
     """Largest eigenvalue modulus of R (L + L^T) R, R = diag(r), L the stored triangle.
 
@@ -198,9 +210,7 @@ def _coupling_radius(pre: Precomputed, r) -> float:
     triangle is scaled; :func:`_krylov_radius` applies it with ``dsymv`` or
     solves it with ``eigvalsh``.
     """
-    sym_lower = pre.xtx_lower * np.outer(r, r)
-    if not np.all(np.isfinite(sym_lower)):
-        raise ValueError("the D^{-1/2}-scaled Gram triangle is not finite")
+    sym_lower = _scaled_triangle(pre, r)
     return _krylov_radius(
         # the stored triangle, read as the upper triangle of its Fortran-ordered transpose
         lambda v: dsymv(1.0, sym_lower.T, v, lower=0), pre.p, True,
@@ -278,8 +288,7 @@ def check_assumption1(mu_star, pre: Precomputed) -> Assumption1Result:
         flags.append("alpha_saturated")
     alpha = np.clip(alpha_raw, _ALPHA_CLAMP, 1.0 - _ALPHA_CLAMP)
     p = pre.p
-    inv_sqrt_d = 1.0 / np.sqrt(pre.d)
-    low = pre.xtx_lower * np.outer(inv_sqrt_d, inv_sqrt_d)
+    low = _scaled_triangle(pre, 1.0 / np.sqrt(pre.d))
     # the lower triangle of C; BLAS reads the C-ordered triangles through their
     # Fortran-ordered transposes (upper), so no Lanczos product copies them
     core_lower = low + np.eye(p)

@@ -410,7 +410,7 @@ def test_fixed_point_raises_when_residual_misses_target(monkeypatch):
     assert np.array_equal(info.value.trace.final_state.alpha, certified.alpha)
 
 
-def test_fixed_point_error_carries_trace():
+def test_fixed_point_error_carries_trace(monkeypatch):
     ds, pre = _random_instance(100, 50, 50, seed=1)
     with pytest.raises(FixedPointError) as info:
         fixed_point(pre, RunConfig(max_iter=2, tol=1e-14))
@@ -418,8 +418,9 @@ def test_fixed_point_error_carries_trace():
     assert info.value.trace.n_iter == 2
 
     ds, pre = _random_instance(200, 50, 25, seed=0)
+    monkeypatch.setattr(RunConfig, "divergence_threshold", 1e-3)
     with pytest.raises(FixedPointError) as info:
-        fixed_point(pre, RunConfig(divergence_threshold=1e-3, tol=1e-9))
+        fixed_point(pre, RunConfig(tol=1e-9))
     assert info.value.trace.status == "diverged"
     assert info.value.trace.n_iter == 1
     assert info.value.trace.final_state.mu.shape == (50,)
@@ -546,7 +547,7 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(max_iter=0)
     with pytest.raises(ValueError):
-        RunConfig(tol=1e8, divergence_threshold=1.0)
+        RunConfig(tol=1e8)
     with pytest.raises(ValueError):
         RunConfig(init="custom")
     with pytest.raises(ValueError):

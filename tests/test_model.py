@@ -15,10 +15,14 @@ from sscavi.model import (
     elbo,
     inclusion_prob,
     inclusion_prob_grad,
+    kl_to_prior,
     prior_logit,
     precompute,
 )
 from sscavi.synth import GenSpec, make_dataset
+
+# an ELBO that warns at saturated or extreme probabilities fails here
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # sigmoid(logit(0.5) + log(1/2)/2 + 2*1/2) evaluated at 50 decimal digits
 PSI_AT_ONE = 0.6577821803478595
@@ -91,6 +95,25 @@ def test_dataset_fields_cannot_be_reassigned_after_precompute():
     with pytest.raises(dataclasses.FrozenInstanceError):
         ds.y = np.zeros(40)
     assert pre.dataset.y is ds.y is y
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pre.xty = np.zeros(8)
+
+
+def test_dataset_and_precomputed_arrays_are_read_only_views():
+    # an entry written in place would pair the stored xty with other data just
+    # as a reassigned field would; the caller's own arrays are left writable
+    rng = np.random.default_rng(0)
+    X, y, beta = rng.standard_normal((40, 8)), rng.standard_normal(40), np.zeros(8)
+    ds = Dataset(X=X, y=y, beta_true=beta)
+    pre = precompute(ds, Hyperparams(pi=0.5, tau=1.0))
+    for arr in (ds.X, ds.y, ds.beta_true, pre.a, pre.d, pre.col_sq_norms,
+                pre.xtx_lower, pre.xty, pre.prior_logit):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[:] = 0.0
+    assert np.shares_memory(ds.X, X) and np.shares_memory(ds.y, y)
+    assert X.flags.writeable and y.flags.writeable and beta.flags.writeable
+    y[0] = 1.0
+    assert ds.y[0] == 1.0
 
 
 def test_precompute_zero_column_allowed():
@@ -224,3 +247,62 @@ def test_elbo_handles_saturated_alpha():
     state = VariationalState(mu, inclusion_prob(mu, pre.a, pre.prior_logit))
     assert np.all(state.alpha == 1.0)
     assert math.isfinite(elbo(state, pre))
+
+
+@pytest.mark.parametrize("pi", [0.5, 5e-324, 1.0 - 1e-16])
+def test_elbo_at_exactly_saturated_alpha_matches_closed_form(pi):
+    # alpha = 0: no slab term, and the Bernoulli KL is -log(1 - pi) per
+    # coordinate; alpha = 1: the slab KL of every coordinate plus -log(pi)
+    X = np.array([[1.0, 0.5, 0.0], [0.0, 2.0, -1.0], [1.5, 0.0, 0.5], [0.0, -1.0, 1.0]])
+    y = np.array([1.0, -2.0, 0.5, 3.0])
+    mu = np.array([0.7, -1.2, 2.0])
+    tau, sigma2 = 2.0, 1.5
+    n, p = X.shape
+    pre = precompute(Dataset(X=X, y=y), Hyperparams(pi=pi, tau=tau, sigma2=sigma2))
+    col_sq = (X * X).sum(axis=0)
+    a = col_sq / sigma2 + tau
+    const = -n / 2 * math.log(2 * math.pi * sigma2)
+
+    state = VariationalState(mu, np.zeros(p))
+    expected = const - y @ y / (2 * sigma2) + p * math.log1p(-pi)
+    assert kl_to_prior(state, pre) == pytest.approx(-p * math.log1p(-pi), rel=1e-14)
+    assert elbo(state, pre) == pytest.approx(expected, rel=1e-14)
+
+    state = VariationalState(mu, np.ones(p))
+    resid = y - X @ mu
+    loglik = const - resid @ resid / (2 * sigma2) - np.sum(col_sq / a) / (2 * sigma2)
+    slab_kl = sum(-0.5 * (1 + math.log(tau / a_j) - tau * (1 / a_j + m * m))
+                  for a_j, m in zip(a, mu))
+    expected = loglik - slab_kl + p * math.log(pi)
+    assert elbo(state, pre) == pytest.approx(expected, rel=1e-14)
+
+
+def _clamped_kl_to_prior(state, pre):
+    """The prior KL with alpha clamped to [1e-300, 1 - 1e-16] inside the
+    logarithms and saturated terms masked to zero: the reference formula."""
+    hyper = pre.hyper
+    mu, alpha = state.mu, state.alpha
+    s2 = 1.0 / pre.a
+    alpha_log = np.clip(alpha, 1e-300, 1.0 - 1e-16)
+    slab_kl = -0.5 * alpha * (1.0 + np.log(hyper.tau * s2) - hyper.tau * (s2 + mu * mu))
+    bern_kl = np.where(
+        alpha > 0.0, alpha * (np.log(alpha_log) - math.log(hyper.pi)), 0.0
+    ) + np.where(
+        alpha < 1.0, (1.0 - alpha) * (np.log1p(-alpha_log) - math.log1p(-hyper.pi)), 0.0
+    )
+    return float(np.sum(slab_kl + bern_kl))
+
+
+@pytest.mark.parametrize("pi", [0.5, 0.1, 1e-6, 1.0 - 1e-9])
+def test_kl_to_prior_matches_clamped_formula(pi):
+    ds = make_dataset(GenSpec(n=60, p=30, s=10, seed=11))
+    pre = precompute(ds, Hyperparams(pi=pi, tau=1.0))
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        mu = rng.standard_normal(30) * 3.0
+        alpha = rng.uniform(size=30)
+        alpha[:3] = 0.0
+        alpha[3:6] = 1.0
+        alpha[6:9] = 10.0 ** rng.uniform(-300, -1, size=3)
+        state = VariationalState(mu, alpha)
+        assert kl_to_prior(state, pre) == pytest.approx(_clamped_kl_to_prior(state, pre), rel=1e-14)

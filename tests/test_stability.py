@@ -471,6 +471,20 @@ def test_wigner_stat_rejects_overflowing_scaled_gram():
         wigner_stat(X, 1e-310)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_check_assumption1_rejects_overflowing_scaled_gram():
+    # the same design: check_assumption1 scales the triangle as wigner_stat
+    # does, and inside analyze_stability's errstate the overflow itself raises
+    X = np.zeros((4, 3))
+    X[:, 0] = [1.0, 2.0, 0.0, 1.0]
+    pre = precompute(Dataset(X=X, y=np.zeros(4)), Hyperparams(pi=0.5, tau=1e-310))
+    mu = np.array([0.3, 0.0, 0.0])
+    with pytest.raises(ValueError, match=r"D\^\{-1/2\}-scaled Gram triangle is not finite"):
+        check_assumption1(mu, pre)
+    with pytest.raises(FloatingPointError):
+        analyze_stability(mu, pre)
+
+
 def test_wigner_stat_validation():
     with pytest.raises(ValueError):
         wigner_stat(np.ones((2, 3)), tau=1.0)  # p > n
