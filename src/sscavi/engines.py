@@ -33,8 +33,8 @@ of 64 or 128 were 12-18% faster than 256 at p = 400 and 1000, but blocks of
 At the default study's sizes the iteration is bound by per-call overhead,
 not by BLAS (``BENCH_23.json``), so the one-block path forms T without
 slicing the stored triangle, alpha reads the prior log-odds ``precompute``
-stores, and the stop rule is one step reduction whose finiteness certifies
-the iterate and the divergence check.
+stores, and the stop rule's step is one reduction whose finiteness certifies
+the iterate; the divergence threshold reads |mu| in a second reduction.
 """
 
 from __future__ import annotations
@@ -47,19 +47,6 @@ import numpy as np
 from scipy.linalg.blas import dsymv, dtrmv, dtrsv
 
 from .model import Precomputed, VariationalState, elbo as _elbo, inclusion_prob
-
-__all__ = [
-    "Scheme",
-    "RunConfig",
-    "RunTrace",
-    "FixedPointError",
-    "seq_sweep",
-    "seq_sweep_system",
-    "par_sweep",
-    "sweep_residuals",
-    "run",
-    "fixed_point",
-]
 
 SEQUENTIAL = "sequential"
 PARALLEL = "parallel"
@@ -101,17 +88,21 @@ class RunTrace:
     """Terminal status, iteration count and final state of one iteration.
 
     :func:`run` also records the per-iteration ELBO and step norms:
-    ``elbo[k]``/``step_sup_norm[k]`` belong to iteration ``iterations[k]``;
-    index 0 records the initial state (its step norm is NaN). The trace of a
+    ``elbo[k]``/``step_sup_norm[k]`` belong to iteration k, and index 0
+    records the initial state (its step norm is NaN). The trace of a
     :class:`FixedPointError` leaves these lists empty.
     """
 
     status: str  # "converged" | "max_iter" | "diverged"
     n_iter: int
     final_state: VariationalState
-    iterations: list = field(default_factory=list)
     elbo: list = field(default_factory=list)
     step_sup_norm: list = field(default_factory=list)
+
+    @property
+    def iterations(self) -> list:
+        """The iteration of each recorded entry: 0, 1, ..., len(elbo) - 1."""
+        return list(range(len(self.elbo)))
 
 
 class FixedPointError(RuntimeError):
@@ -236,15 +227,14 @@ def run(pre: Precomputed, scheme: Scheme = Scheme(), cfg: RunConfig = RunConfig(
     every sweep.
     """
     sweep = par_sweep if scheme.variant == PARALLEL else seq_sweep
-    iterations, elbos, steps = [], [], []
+    elbos, steps = [], []
 
     def record(t, mu, alpha, step, finite):
-        iterations.append(t)
         elbos.append(_elbo(VariationalState(mu, alpha), pre) if finite else float("nan"))
         steps.append(step)
 
     status, n_iter, mu, alpha = _iterate(sweep, pre, cfg, record)
-    return RunTrace(status, n_iter, VariationalState(mu, alpha), iterations, elbos, steps)
+    return RunTrace(status, n_iter, VariationalState(mu, alpha), elbos, steps)
 
 
 def fixed_point(pre: Precomputed, cfg: RunConfig = RunConfig()) -> VariationalState:

@@ -20,18 +20,6 @@ from . import engines, stability, svgplot, verify
 from .model import Hyperparams, precompute
 from .synth import SEED_BOUND, GenSpec, gen_design, make_dataset, replicate_seed
 
-__all__ = [
-    "StudyConfig",
-    "ConfigError",
-    "cmd_gen_data",
-    "cmd_run_example",
-    "cmd_spectral_study",
-    "cmd_verify",
-    "cmd_wigner_check",
-    "parse_config_file",
-    "write_csv",
-]
-
 # the spectral-study panels StudyConfig accepts: the left grid over p = s, the right over s
 PANELS = ("left", "right", "both")
 DEFAULT_LEFT_P_GRID = (10, 20, 30, 40, 50)

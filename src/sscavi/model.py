@@ -22,19 +22,6 @@ import numpy as np
 from scipy.linalg.blas import dsyrk
 from scipy.special import expit, rel_entr
 
-__all__ = [
-    "Dataset",
-    "Hyperparams",
-    "Precomputed",
-    "VariationalState",
-    "precompute",
-    "prior_logit",
-    "inclusion_prob",
-    "inclusion_prob_grad",
-    "expected_loglik",
-    "kl_to_prior",
-    "elbo",
-]
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     """A read-only view of ``arr``; ``arr`` itself keeps its flags."""

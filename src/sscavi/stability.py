@@ -59,18 +59,6 @@ from .model import (
     precompute,
 )
 
-__all__ = [
-    "Assumption1Result",
-    "StabilityReport",
-    "WignerStat",
-    "jacobian_seq",
-    "jacobian_par",
-    "spectral_radius",
-    "check_assumption1",
-    "analyze_stability",
-    "wigner_stat",
-]
-
 # below this, the squared coupling norm is treated as exactly zero (decoupled design)
 _COUPLING_EPS = 1e-14
 _ALPHA_CLAMP = 1e-12

@@ -16,17 +16,6 @@ import numpy as np
 
 from .model import Dataset
 
-__all__ = [
-    "SEED_BOUND",
-    "GenSpec",
-    "gen_design",
-    "gen_response",
-    "make_beta",
-    "make_dataset",
-    "mix_seed",
-    "replicate_seed",
-]
-
 # every seed lies in [0, SEED_BOUND): the splitmix64 and Philox key width
 SEED_BOUND = 1 << 64
 _MASK64 = SEED_BOUND - 1

@@ -469,19 +469,28 @@ def test_cli_flag_replaces_its_field(key, captured, tmp_path, capsys):
         assert stub not in captured
 
 
-@pytest.mark.parametrize("argv", [
-    ["--panel", "left", "--n", "100,300", "--p", "10"],
-    ["--panel", "right", "--p", "50,60", "--s", "5"],
-])
-def test_cli_spectral_study_rejects_grid_it_cannot_use(tmp_path, capsys, argv):
+_UNUSABLE_STUDIES = [
     # a panel runs one n (and the right panel one p); a longer list is an
     # error, not a study that silently drops all but its first value
-    out = tmp_path / "multi"
-    assert cli.main(["spectral-study", *argv, "--reps", "1", "--out", str(out)]) == 2
+    (["--panel", "left", "--n", "100,300", "--p", "10"],
+     "must be a single value for spectral_study"),
+    (["--panel", "right", "--p", "50,60", "--s", "5"],
+     "must be a single value for spectral_study"),
+    (["--n", ","], "n grid must be nonempty"),
+    (["--n=-1"], "n grid must be nonnegative"),
+    (["--reps", "0"], "replications must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _UNUSABLE_STUDIES,
+                         ids=[f"argv{k}" for k in range(len(_UNUSABLE_STUDIES))])
+def test_cli_spectral_study_rejects_grid_it_cannot_use(tmp_path, capsys, argv, message):
+    out = tmp_path / "rejected"
+    assert cli.main(["spectral-study", "--reps", "1", *argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration: ")
-    assert "must be a single value for spectral_study" in err
-    assert not (out / "rho.csv").exists()
+    assert message in err
+    assert not out.exists()
 
 
 def test_cli_left_panel_rejects_s(tmp_path, capsys):
@@ -593,7 +602,7 @@ def test_cli_verify_takes_every_seed(tmp_path, capsys):
 def test_verify_suite_passes_and_writes_csv(tmp_path):
     from sscavi import verify
 
-    results = verify.run_checks(seed=0, mc_samples=20_000)
+    results = verify.run_checks(seed=0)
     assert all(r.passed for r in results)
     # `sscavi verify` check names are part of its output format
     assert [r.name for r in results] == [
@@ -621,10 +630,10 @@ def test_cmd_verify_exit_codes(tmp_path, monkeypatch):
     from sscavi import verify
     from sscavi.verify import CheckResult
 
-    def fake_pass(seed=0, mc_samples=0, progress=None):
+    def fake_pass(seed=0, progress=None):
         return [CheckResult("stub", 0.0, 1.0, True)]
 
-    def fake_fail(seed=0, mc_samples=0, progress=None):
+    def fake_fail(seed=0, progress=None):
         return [CheckResult("stub", 2.0, 1.0, False)]
 
     monkeypatch.setattr(verify, "run_checks", fake_pass)

@@ -1,8 +1,8 @@
 """Package layering, read from the source without importing it: the oracles
 in verify.py stay out of production code paths, no module reads another's
-private names, the package's ``__init__`` binds nothing but its version, and
-no function takes the dataset or the hyperparameters beside ``Precomputed``,
-which keeps both.
+private names, the package's ``__init__`` binds nothing but its version, no
+module keeps an ``__all__`` list, and no function takes the dataset or the
+hyperparameters beside ``Precomputed``, which keeps both.
 The last test imports the package: each list of accepted values is stated
 once, where it is validated, and the CLI offers that same list."""
 
@@ -48,6 +48,13 @@ def test_package_binds_only_its_version():
     body = tree.body[1:] if ast.get_docstring(tree) is not None else tree.body
     assert len(body) == 1 and isinstance(body[0], ast.Assign), ast.unparse(tree)
     assert [ast.unparse(target) for target in body[0].targets] == ["__version__"]
+
+
+def test_no_module_assigns_a_list_of_public_names():
+    # a public name is one without a leading underscore; no second list states them
+    for name, tree in _trees().items():
+        assert not any(isinstance(node, ast.Name) and node.id == "__all__"
+                       and isinstance(node.ctx, ast.Store) for node in ast.walk(tree)), name
 
 
 def _private_sibling_reads(tree, siblings):

@@ -552,18 +552,14 @@ def test_perturbation_decay_linear_maps():
     contract = q @ np.diag([0.5, 0.4, 0.3, 0.2, 0.1]) @ q.T
     expand = q @ np.diag([1.5, 0.4, 0.3, 0.2, 0.1]) @ q.T
     target = rng.standard_normal(5)
-    assert perturbation_decay(lambda x: contract @ (x - target) + target, target, trials=8, iters=60)
-    assert perturbation_decay(lambda x: expand @ (x - target) + target, target, trials=8, iters=60)
+    assert perturbation_decay(lambda x: contract @ (x - target) + target, target)
+    assert perturbation_decay(lambda x: expand @ (x - target) + target, target)
 
 
 def test_perturbation_decay_on_sweep_maps():
     ds, pre, state = _converged_instance(n=200, p=50, s=25, seed=0)
-    assert perturbation_decay(
-        sweep_map(engines.seq_sweep, pre), state.mu, trials=8, iters=60
-    )
+    assert perturbation_decay(sweep_map(engines.seq_sweep, pre), state.mu)
     ds2 = make_dataset(GenSpec(n=100, p=50, s=50, seed=1))
     pre2 = precompute(ds2, HYPER)
     state2 = engines.fixed_point(pre2, engines.RunConfig(max_iter=500))
-    assert perturbation_decay(
-        sweep_map(engines.par_sweep, pre2), state2.mu, trials=8, iters=60
-    )
+    assert perturbation_decay(sweep_map(engines.par_sweep, pre2), state2.mu)
