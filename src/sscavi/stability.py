@@ -20,7 +20,7 @@ which = "LM", v0 = ones, tol = 1e-13, ncv = 20, at most 100 restarts):
 Arnoldi (``eigs``) for the sequential radius, Lanczos (``eigsh``) for the
 parallel one. Below that size, and whenever ARPACK raises ``ArpackError``
 (no convergence, or a zero Krylov vector for a zero operator), the dense
-solver of the same matrix gives the radius: ``eigvals`` or ``eigvalsh``.
+solver of the same matrix gives the radius: ``eigvals`` or ``dsyevr``.
 The sequential radius runs Arnoldi on the Jacobian operator v -> J_seq v
 (two ``dtrmv`` on the stored Gram triangle and one ``dtrsv`` on the sweep
 system), so no dense J_seq is formed from ``_KRYLOV_MIN_P`` up;
@@ -30,8 +30,26 @@ dispatch happens; :func:`spectral_radius` is a dense oracle outside it.
 The crossover, measured with one BLAS thread as the median time of both
 radii together while Arnoldi still ran on a dense J_seq: dense 2.0 ms
 against ARPACK 2.1 ms at p = 75, and 4.2 ms against 2.2 ms at p = 100
-(Arnoldi alone wins from p = 75, Lanczos alone from about p = 150). A
-dense eigensolver that fails raises ``LinAlgError``.
+(Arnoldi alone wins from p = 75, Lanczos alone from about p = 150).
+The symmetric dense solves call LAPACK (``scipy.linalg.lapack``) directly:
+``dsyevr`` for eigenvalues only (:func:`_eigvalsh`, all of them or one by
+index), ``dpotrf`` for the contraction check's Cholesky factor and
+``dtrtrs`` for its triangular solve. At p <= 50 the Python layer of
+``scipy.linalg`` around the same drivers is about a quarter of the
+contraction check: at (n, p, s) = (200, 50, 25), one BLAS thread on a
+2-vCPU x86_64 machine, best of 40, the check takes 305 us through it and
+227 us without it, and the dense parallel radius 131 against 113 us.
+``dsyevr`` gets the workspace ``dsyevr_lwork`` reports, as in
+``scipy.linalg.eigh``: ``dsytrd`` blocks by the workspace it is given, and
+the f2py default (the minimum) changes bits of the default study's
+``rho.csv``. So every result equals the ``scipy.linalg`` solver's bit for
+bit. As there, a driver's ``info > 0`` raises ``LinAlgError`` (for
+``dpotrf`` it sets the ``core_not_positive_definite`` flag instead) and
+``info < 0`` raises ``ValueError``. The nonsymmetric ``eigvals`` stays
+numpy's, which also raises ``LinAlgError`` on failure: its Python layer is
+under 2 % of the ``dgeev`` solve at p = 50 (about 10 of 600 us), and
+scipy's ``dgeev`` comes from another OpenBLAS build (scipy bundles 0.3.30,
+numpy 0.3.31), so moving it would tie rho_seq to a second library.
 The contraction check takes its two top eigenvalues the same way, each
 path on the same operator: delta_quad on K K^T with K = Lc^{-1} B C, the
 scaled core factored once as C = Lc Lc^T, and the coupling norm on Ls^T Ls. Its
@@ -46,8 +64,9 @@ from dataclasses import dataclass, field
 from typing import List, NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, eigvalsh, solve_triangular
+from scipy.linalg import LinAlgError
 from scipy.linalg.blas import dsymv, dtrmm, dtrmv, dtrsm, dtrsv
+from scipy.linalg.lapack import dpotrf, dsyevr, dsyevr_lwork, dtrtrs
 
 from . import engines
 from .model import (
@@ -176,13 +195,44 @@ def _krylov_radius(matvec, p: int, symmetric: bool, dense_eigvals):
     return float(np.max(np.abs(dense_eigvals())))
 
 
+def _lapack_info(info: int, driver: str) -> None:
+    """Raise on a LAPACK driver's nonzero ``info``, as ``scipy.linalg`` does.
+
+    ``info < 0`` names an illegal argument (``ValueError``); ``info > 0`` is
+    a numerical failure of the driver (``LinAlgError``).
+    """
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {driver}")
+    if info > 0:
+        raise LinAlgError(f"{driver} failed with info = {info}")
+
+
+def _eigvalsh(a: np.ndarray, index=None) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix held in the lower triangle of ``a``.
+
+    ``dsyevr`` without eigenvectors: every eigenvalue, or only the one at the
+    0-based ``index`` in ascending order (``range="I"``), with the workspace
+    ``dsyevr_lwork`` reports, so the result is ``scipy.linalg.eigvalsh``'s
+    (with ``subset_by_index=[index, index]``) bit for bit.
+    """
+    work, iwork, info = dsyevr_lwork(a.shape[0], lower=1)
+    _lapack_info(info, "dsyevr_lwork")
+    single = {} if index is None else {"range": "I", "il": index + 1, "iu": index + 1}
+    w, _, found, _, info = dsyevr(a, compute_v=0, lower=1, lwork=int(work), liwork=iwork,
+                                  **single)
+    _lapack_info(info, "dsyevr")
+    return w[:found]
+
+
 def _scaled_triangle(pre: Precomputed, r) -> np.ndarray:
     """The stored Gram triangle scaled to R L R, R = diag(r); raises if not finite.
 
     Every r carries a factor d^{-1/2}, so r_j r_l overflows where d_j is
     subnormal, and 0 * inf leaves NaN in the triangle.
     """
-    scaled = pre.xtx_lower * np.outer(r, r)
+    # multiplied in place, so the result is the only p x p array allocated
+    scaled = np.outer(r, r)
+    scaled *= pre.xtx_lower
     if not np.all(np.isfinite(scaled)):
         raise ValueError("the D^{-1/2}-scaled Gram triangle is not finite")
     return scaled
@@ -196,13 +246,12 @@ def _coupling_radius(pre: Precomputed, r) -> float:
     (L + L^T) diag(w) has the eigenvalues of -R (L + L^T) R, since
     eig(XY) = eig(YX) (also where some w_j = 0). Only the stored lower
     triangle is scaled; :func:`_krylov_radius` applies it with ``dsymv`` or
-    solves it with ``eigvalsh``.
+    solves it with :func:`_eigvalsh`.
     """
     sym_lower = _scaled_triangle(pre, r)
     return _krylov_radius(
         # the stored triangle, read as the upper triangle of its Fortran-ordered transpose
-        lambda v: dsymv(1.0, sym_lower.T, v, lower=0), pre.p, True,
-        lambda: eigvalsh(sym_lower, lower=True, overwrite_a=True, check_finite=False),
+        lambda v: dsymv(1.0, sym_lower.T, v, lower=0), pre.p, True, lambda: _eigvalsh(sym_lower),
     )
 
 
@@ -263,12 +312,13 @@ def check_assumption1(mu_star, pre: Precomputed) -> Assumption1Result:
     and the coupling norm the top eigenvalue of Ls^T Ls. Both come from
     :func:`_krylov_radius`, which applies the first with two ``dtrsv`` and
     two ``dsymv`` and the second with two ``dtrmv``, all on stored
-    triangles, or solves K K^T, K from one triangular solve with Lc, and
-    Ls^T Ls with ``eigvalsh``.
+    triangles, or solves K K^T, K from one ``dtrtrs`` solve with Lc, and
+    Ls^T Ls for their top eigenvalue with ``dsyevr`` (:func:`_eigvalsh`).
+    The factor comes from ``dpotrf``; its ``info > 0`` is the flag.
     The bound min(0.5, lam_min(C + diag(1/alpha)) / coupling_norm_sq) rarely
     needs lam_min: by Weyl's inequality, C > 0 gives lam_min > min(1/alpha),
     so ``delta_bound`` is 0.5 whenever 2 min(1/alpha) >= coupling_norm_sq,
-    and only the other case runs ``eigvalsh``.
+    and only the other case runs ``dsyevr`` for the smallest eigenvalue.
     """
     mu_star, alpha_raw, _, _ = _linearization(mu_star, pre)
     flags: List[str] = []
@@ -277,36 +327,38 @@ def check_assumption1(mu_star, pre: Precomputed) -> Assumption1Result:
     alpha = np.clip(alpha_raw, _ALPHA_CLAMP, 1.0 - _ALPHA_CLAMP)
     p = pre.p
     low = _scaled_triangle(pre, 1.0 / np.sqrt(pre.d))
-    # the lower triangle of C; BLAS reads the C-ordered triangles through their
-    # Fortran-ordered transposes (upper), so no Lanczos product copies them
-    core_lower = low + np.eye(p)
+    # the lower triangle of C, low + I bit for bit (low has a zero diagonal); BLAS
+    # reads the C-ordered triangles through their Fortran-ordered transposes
+    # (upper), so no Lanczos product copies them
+    core_lower = low.copy()
+    np.fill_diagonal(core_lower, 1.0)
     b = mu_star * mu_star * pre.a * (1.0 - alpha)
     delta_diag = float(np.max(b * b * (alpha / (1.0 - alpha))))
 
     delta_star = delta_bound = delta_quad = coupling_norm_sq = float("nan")
-    try:
-        chol = cholesky(core_lower, lower=True, check_finite=False)
-    except LinAlgError:
+    chol, info = dpotrf(core_lower, lower=1, clean=1)
+    if info > 0:
         # the Cholesky factorization of a numerically singular core failed
         flags.append("core_not_positive_definite")
     else:
+        _lapack_info(info, "dpotrf")
 
         def quad_matvec(v):
-            # cholesky returns a Fortran-ordered factor: passed as is, it is not copied
+            # dpotrf returns a Fortran-ordered factor: passed as is, it is not copied
             x = b * dtrsv(chol, v, lower=1, trans=1)
             x = dsymv(1.0, core_lower.T, dsymv(1.0, core_lower.T, x, lower=0), lower=0)
             return dtrsv(chol, b * x, lower=1)
 
         def dense_quad():
             # K = Lc^{-1} B C, so K K^T is the operator quad_matvec applies
-            k = solve_triangular(chol, b[:, None] * (core_lower + low.T), lower=True,
-                                 check_finite=False)
-            return eigvalsh(k @ k.T, subset_by_index=[p - 1, p - 1])
+            k, info = dtrtrs(chol, b[:, None] * (core_lower + low.T), lower=1)
+            _lapack_info(info, "dtrtrs")
+            return _eigvalsh(k @ k.T, p - 1)
 
         delta_quad = _krylov_radius(quad_matvec, p, True, dense_quad)
         coupling_norm_sq = _krylov_radius(
             lambda v: dtrmv(low.T, dtrmv(low.T, v, trans=1)), p, True,
-            lambda: eigvalsh(low.T @ low, subset_by_index=[p - 1, p - 1]),
+            lambda: _eigvalsh(low.T @ low, p - 1),
         )
         delta_star = max(delta_quad, delta_diag)
         inv_alpha = 1.0 / alpha
@@ -319,7 +371,7 @@ def check_assumption1(mu_star, pre: Precomputed) -> Assumption1Result:
             delta_bound = 0.5
         else:
             shifted = core_lower + np.diag(inv_alpha)
-            lam_min = float(eigvalsh(shifted, lower=True, subset_by_index=[0, 0])[0])
+            lam_min = float(_eigvalsh(shifted, 0)[0])
             delta_bound = min(0.5, lam_min / coupling_norm_sq)
     return Assumption1Result(
         delta_star=delta_star,

@@ -1,8 +1,10 @@
 """Package layering, read from the source without importing it: the oracles
-in verify.py stay out of production code paths, no module reads another's
-private names, the package's ``__init__`` binds nothing but its version, no
-module keeps an ``__all__`` list, and no function takes the dataset or the
-hyperparameters beside ``Precomputed``, which keeps both.
+in verify.py stay out of production code paths, no module but verify.py
+imports scipy.linalg beyond its BLAS and LAPACK drivers and ``LinAlgError``,
+no module reads another's private names, the package's ``__init__`` binds
+nothing but its version, no module keeps an ``__all__`` list, and no
+function takes the dataset or the hyperparameters beside ``Precomputed``,
+which keeps both.
 The last test imports the package: each list of accepted values is stated
 once, where it is validated, and the CLI offers that same list."""
 
@@ -55,6 +57,35 @@ def test_no_module_assigns_a_list_of_public_names():
     for name, tree in _trees().items():
         assert not any(isinstance(node, ast.Name) and node.id == "__all__"
                        and isinstance(node.ctx, ast.Store) for node in ast.walk(tree)), name
+
+
+# the BLAS and LAPACK driver modules, and the error their wrappers raise
+_SCIPY_LINALG_ALLOWED = ("scipy.linalg.LinAlgError", "scipy.linalg.blas", "scipy.linalg.lapack")
+
+
+def _scipy_linalg_imports(tree):
+    """The dotted name of each absolute import of or from scipy.linalg that is
+    not a driver module, a name from one, or ``LinAlgError``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        yield from (name for name in names
+                    if (name + ".").startswith("scipy.linalg.")
+                    and not any((name + ".").startswith(ok + ".") for ok in _SCIPY_LINALG_ALLOWED))
+
+
+def test_only_verify_uses_scipy_linalg_solvers():
+    # production calls the LAPACK and BLAS drivers directly; only the
+    # oracles may use high-level solvers, so the two stay independent
+    trees = _trees()
+    assert "stability" in trees
+    found = {name: list(_scipy_linalg_imports(tree)) for name, tree in trees.items()
+             if name != "verify"}
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def _private_sibling_reads(tree, siblings):

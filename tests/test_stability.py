@@ -223,6 +223,58 @@ def test_default_study_stays_on_dense_path(tmp_path, monkeypatch):
     assert auto == (tmp_path / "dense" / "rho.csv").read_bytes()
 
 
+@pytest.mark.parametrize("p", [2, 10, 50, 99])
+def test_lapack_drivers_match_scipy_linalg_bitwise(p):
+    # the drivers the analysis calls, held with == to the scipy.linalg solvers
+    # that wrap them: a change of workspace or driver that moves a bit fails here
+    import scipy.linalg as sla
+
+    rng = np.random.default_rng(p)
+    g = rng.standard_normal((p + 3, p))
+    spd = g.T @ g / p
+    for a in (spd, spd - np.eye(p), np.tril(spd - np.eye(p))):
+        assert np.array_equal(stability._eigvalsh(a), sla.eigvalsh(a))
+        for index in (p - 1, 0):
+            want = sla.eigvalsh(a, subset_by_index=[index, index])
+            assert np.array_equal(stability._eigvalsh(a, index), want), index
+    chol, info = stability.dpotrf(spd, lower=1, clean=1)
+    assert info == 0 and np.array_equal(chol, sla.cholesky(spd, lower=True))
+    for rhs in (rng.standard_normal((p, p)), rng.standard_normal((p, 3))):
+        x, info = stability.dtrtrs(chol, rhs, lower=1)
+        assert info == 0 and np.array_equal(x, sla.solve_triangular(chol, rhs, lower=True))
+
+
+def _failing(monkeypatch, driver, info):
+    """Make the ``driver`` that stability calls report ``info`` after its solve."""
+    real = getattr(stability, driver)
+    monkeypatch.setattr(stability, driver, lambda *args, **kw: (*real(*args, **kw)[:-1], info))
+
+
+@pytest.mark.parametrize("driver,info,error", [
+    ("dsyevr", 1, np.linalg.LinAlgError),
+    ("dtrtrs", 1, np.linalg.LinAlgError),
+    ("dsyevr", -1, ValueError),
+    ("dtrtrs", -1, ValueError),
+    ("dpotrf", -1, ValueError),
+])
+def test_lapack_failure_raises(monkeypatch, driver, info, error):
+    # as in scipy.linalg: info > 0 is a numerical failure, info < 0 an illegal
+    # argument; dpotrf's info > 0 is the core_not_positive_definite flag
+    _, pre, state = _converged_instance()
+    _failing(monkeypatch, driver, info)
+    with pytest.raises(error):
+        analyze_stability(state.mu, pre)
+
+
+def test_cli_reports_dsyevr_failure(tmp_path, capsys, monkeypatch):
+    _failing(monkeypatch, "dsyevr", 1)
+    out = tmp_path / "fail"
+    argv = ["spectral-study", "--panel", "left", "--p", "10", "--reps", "1", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not (out / "rho.csv").exists()
+
+
 def test_fd_jacobian_recovers_linear_map():
     rng = np.random.default_rng(4)
     K = rng.standard_normal((6, 6))
@@ -357,7 +409,7 @@ def test_assumption1_matches_dense_oracle():
             assert got.delta_star == pytest.approx(0.0, abs=1e-30)
         alpha = np.clip(inclusion_prob(mu, pre.a, pre.prior_logit), 1e-12, 1.0 - 1e-12)
         if got.coupling_norm_sq > 2.0 * np.min(1.0 / alpha):
-            # outside the Weyl shortcut: lam_min comes from eigvalsh
+            # outside the Weyl shortcut: lam_min comes from dsyevr
             lam_min_branches.add(label)
             assert got.delta_bound < 0.5, label
     assert lam_min_branches == {"collinear", "wide collinear"}
