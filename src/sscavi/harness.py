@@ -219,43 +219,43 @@ def spectral_replicate(n, p, s, seed, hyper, run_cfg, amplitude=1.0):
 
 
 def cmd_spectral_study(cfg: StudyConfig):
-    """Replicated spectral radii over the panel grids; CSV plus box plots."""
+    """Replicated spectral radii over the panel grids; CSV plus box plots.
+
+    Each grid point's two boxes are read from its rows once its replicates
+    are done: the ``log_rho_seq`` and ``log_rho_par`` columns of the rows
+    whose ``seq_converged`` is true. The output directory is made only after
+    the last replicate, so a study that a replicate rejects leaves none."""
     points = _panel_points(cfg)
     # reject a bad grid point before the first replicate runs
     with _rejected_as_config_error():
         for _, n, p, s in points:
             GenSpec(n=n, p=p, s=s, amplitude=cfg.amplitude, sigma2=cfg.hyper.sigma2)
-    out = _ensure_out(cfg)
+    header = [
+        "panel", "n", "p", "s", "replicate", "seed",
+        "rho_seq", "log_rho_seq", "rho_par", "log_rho_par",
+        "seq_converged", "assumption1_satisfied",
+    ]
     rows = []
     groups = []
     n_singular = 0
     for panel, n, p, s in points:
-        # log radii of the converged replicates, for this grid point's boxes
-        log_seq, log_par = [], []
         for r in range(cfg.replications):
             seed = replicate_seed(cfg.master_seed, r)
             res = spectral_replicate(n, p, s, seed, cfg.hyper, cfg.run, cfg.amplitude)
             n_singular += res["core_singular"]
             log_rho_seq = math.log(res["rho_seq"]) if res["rho_seq"] > 0 else float("nan")
             log_rho_par = math.log(res["rho_par"]) if res["rho_par"] > 0 else float("nan")
-            rows.append(
-                (
-                    panel, n, p, s, r, seed,
-                    res["rho_seq"], log_rho_seq, res["rho_par"], log_rho_par,
-                    res["seq_converged"],
-                    res["assumption1_satisfied"],
-                )
-            )
-            if res["seq_converged"]:
-                log_seq.append(log_rho_seq)
-                log_par.append(log_rho_par)
+            rows.append((
+                panel, n, p, s, r, seed,
+                res["rho_seq"], log_rho_seq, res["rho_par"], log_rho_par,
+                res["seq_converged"], res["assumption1_satisfied"],
+            ))
+        point_rows = [dict(zip(header, row)) for row in rows[-cfg.replications:]]
         tag = f"p={p}" if panel == "left" else f"s={s}"
-        groups += [(f"{panel} {tag} seq", log_seq, 1), (f"{panel} {tag} par", log_par, 0)]
-    header = [
-        "panel", "n", "p", "s", "replicate", "seed",
-        "rho_seq", "log_rho_seq", "rho_par", "log_rho_par",
-        "seq_converged", "assumption1_satisfied",
-    ]
+        for scheme, color in (("seq", 1), ("par", 0)):
+            logs = [row[f"log_rho_{scheme}"] for row in point_rows if row["seq_converged"]]
+            groups.append((f"{panel} {tag} {scheme}", logs, color))
+    out = _ensure_out(cfg)
     write_csv(os.path.join(out, "rho.csv"), header, rows)
     svgplot.box_plot(
         os.path.join(out, "rho_boxplot.svg"),

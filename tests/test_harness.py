@@ -479,6 +479,11 @@ _UNUSABLE_STUDIES = [
     (["--n", ","], "n grid must be nonempty"),
     (["--n=-1"], "n grid must be nonnegative"),
     (["--reps", "0"], "replications must be at least 1"),
+    # data or a prior that a replicate rejects, after the grid itself passed
+    (["--panel", "left", "--n", "20", "--p", "3", "--reps", "2", "--sigma2", "1e-320"],
+     "overflow the slab precisions"),
+    (["--panel", "left", "--n", "20", "--p", "3", "--reps", "2", "--amplitude", "1e308"],
+     "y contains non-finite entries"),
 ]
 
 

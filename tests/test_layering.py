@@ -2,9 +2,9 @@
 in verify.py stay out of production code paths, no module but verify.py
 imports scipy.linalg beyond its BLAS and LAPACK drivers and ``LinAlgError``,
 no module reads another's private names, the package's ``__init__`` binds
-nothing but its version, no module keeps an ``__all__`` list, and no
+nothing but its version, no module keeps an ``__all__`` list, no
 function takes the dataset or the hyperparameters beside ``Precomputed``,
-which keeps both.
+which keeps both, and README's Layout section names every module.
 The last test imports the package: each list of accepted values is stated
 once, where it is validated, and the CLI offers that same list."""
 
@@ -140,6 +140,14 @@ def test_precomputed_is_the_one_carrier_past_precompute():
                 optional.add((module, name))
     assert both == set()
     assert optional == set()
+
+
+def test_readme_layout_names_every_module():
+    readme = (SRC.parent.parent / "README.md").read_text()
+    layout = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    modules = [name for name in _trees() if name != "__init__"]
+    assert {"svgplot", "harness"} <= set(modules)
+    assert [name for name in modules if f"src/sscavi/{name}.py" not in layout] == []
 
 
 def test_cli_choices_are_the_validated_tuples():
