@@ -4,6 +4,12 @@ Every command is a pure function of its :class:`StudyConfig`: reruns with the
 same master seed reproduce byte-identical CSVs. Floats are serialized with 17
 significant digits for lossless round trips; SVG plots are conveniences and
 everything quantitative lives in the CSVs.
+
+A study is a point list, a replicate function and a header: :func:`_study`
+runs every replicate of every grid point in canonical order, and its plots
+and summaries are views of the rows it returns. Every command computes its
+rows first and makes its output directory only when it writes them
+(:func:`_write_tables`), so a command that fails or is rejected leaves none.
 """
 
 from __future__ import annotations
@@ -91,9 +97,22 @@ def write_csv(path: str, header: Optional[Sequence[str]], rows) -> None:
             fh.write(",".join(_fmt_value(v) for v in row) + "\n")
 
 
-def _ensure_out(cfg: StudyConfig) -> str:
+def _write_tables(cfg: StudyConfig, tables) -> List[str]:
+    """Make ``cfg.out_dir`` and write each ``(name, header, rows)`` table in
+    it; returns the paths written. The only place a command makes its
+    directory, so it is called once the command's rows are computed."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    return cfg.out_dir
+    for name, header, rows in tables:
+        write_csv(os.path.join(cfg.out_dir, name), header, rows)
+    return [os.path.join(cfg.out_dir, name) for name, _, _ in tables]
+
+
+def _study(cfg: StudyConfig, points, replicate):
+    """Each point's rows: ``replicate(point, r, seed)`` for the points in order
+    and r = 0, ..., replications - 1, where replicate r draws from
+    ``replicate_seed(cfg.master_seed, r)`` at every point. Writes nothing."""
+    seeds = [replicate_seed(cfg.master_seed, r) for r in range(cfg.replications)]
+    return [[replicate(point, r, seed) for r, seed in enumerate(seeds)] for point in points]
 
 
 def _single(cfg: StudyConfig, name: str) -> int:
@@ -115,13 +134,10 @@ def _single_dataset(cfg: StudyConfig):
 def cmd_gen_data(cfg: StudyConfig) -> List[str]:
     """Write one synthetic dataset as interchange CSVs (X, y, beta)."""
     ds = _single_dataset(cfg)
-    out = _ensure_out(cfg)
-    paths = []
-    columns = {"X.csv": ds.X, "y.csv": ds.y[:, None], "beta.csv": ds.beta_true[:, None]}
-    for name, arr in columns.items():
-        paths.append(os.path.join(out, name))
-        write_csv(paths[-1], None, arr)
-    return paths
+    return _write_tables(cfg, [
+        ("X.csv", None, ds.X), ("y.csv", None, ds.y[:, None]),
+        ("beta.csv", None, ds.beta_true[:, None]),
+    ])
 
 
 def cmd_run_example(cfg: StudyConfig):
@@ -129,27 +145,19 @@ def cmd_run_example(cfg: StudyConfig):
     ds = _single_dataset(cfg)
     with _rejected_as_config_error():
         pre = precompute(ds, cfg.hyper)
-    out = _ensure_out(cfg)
     trace = engines.run(pre, cfg.scheme, cfg.run)
 
     status_col = ["running"] * len(trace.iterations)
     status_col[-1] = trace.status
-    write_csv(
-        os.path.join(out, "trace.csv"),
-        ["iter", "elbo", "step_sup_norm", "status"],
-        zip(trace.iterations, trace.elbo, trace.step_sup_norm, status_col),
-    )
     final = trace.final_state
-    write_csv(
-        os.path.join(out, "means.csv"),
-        ["j", "beta_true", "mu", "alpha"],
-        (
-            (j, ds.beta_true[j], final.mu[j], final.alpha[j])
-            for j in range(ds.p)
-        ),
-    )
+    _write_tables(cfg, [
+        ("trace.csv", ["iter", "elbo", "step_sup_norm", "status"],
+         zip(trace.iterations, trace.elbo, trace.step_sup_norm, status_col)),
+        ("means.csv", ["j", "beta_true", "mu", "alpha"],
+         ((j, ds.beta_true[j], final.mu[j], final.alpha[j]) for j in range(ds.p))),
+    ])
     svgplot.line_plot(
-        os.path.join(out, "elbo.svg"),
+        os.path.join(cfg.out_dir, "elbo.svg"),
         trace.iterations,
         trace.elbo,
         title=f"{cfg.scheme.variant} trajectory (status: {trace.status})",
@@ -158,7 +166,7 @@ def cmd_run_example(cfg: StudyConfig):
     )
     idx = np.arange(ds.p)
     svgplot.scatter_plot(
-        os.path.join(out, "means.svg"),
+        os.path.join(cfg.out_dir, "means.svg"),
         [
             (idx, final.mu, "variational mean"),
             (idx, ds.beta_true, "true coefficient"),
@@ -221,10 +229,11 @@ def spectral_replicate(n, p, s, seed, hyper, run_cfg, amplitude=1.0):
 def cmd_spectral_study(cfg: StudyConfig):
     """Replicated spectral radii over the panel grids; CSV plus box plots.
 
-    Each grid point's two boxes are read from its rows once its replicates
-    are done: the ``log_rho_seq`` and ``log_rho_par`` columns of the rows
-    whose ``seq_converged`` is true. The output directory is made only after
-    the last replicate, so a study that a replicate rejects leaves none."""
+    A replicate's row is :func:`spectral_replicate`'s dict of scalars with
+    its point, index, seed and log radii added; ``rho.csv`` holds the columns
+    of ``header``. Each grid point's two boxes are the ``log_rho_seq`` and
+    ``log_rho_par`` of its rows whose ``seq_converged`` is true, and the two
+    notes count over all rows."""
     points = _panel_points(cfg)
     # reject a bad grid point before the first replicate runs
     with _rejected_as_config_error():
@@ -235,36 +244,35 @@ def cmd_spectral_study(cfg: StudyConfig):
         "rho_seq", "log_rho_seq", "rho_par", "log_rho_par",
         "seq_converged", "assumption1_satisfied",
     ]
-    rows = []
+
+    def replicate(point, r, seed):
+        # a module global looked up per call: the benchmark swaps in a timed one
+        row = spectral_replicate(*point[1:], seed, cfg.hyper, cfg.run, cfg.amplitude)
+        row.update(zip(header[:6], (*point, r, seed)))
+        for scheme in ("seq", "par"):
+            rho = row[f"rho_{scheme}"]
+            row[f"log_rho_{scheme}"] = math.log(rho) if rho > 0 else float("nan")
+        return row
+
+    by_point = _study(cfg, points, replicate)
     groups = []
-    n_singular = 0
-    for panel, n, p, s in points:
-        for r in range(cfg.replications):
-            seed = replicate_seed(cfg.master_seed, r)
-            res = spectral_replicate(n, p, s, seed, cfg.hyper, cfg.run, cfg.amplitude)
-            n_singular += res["core_singular"]
-            log_rho_seq = math.log(res["rho_seq"]) if res["rho_seq"] > 0 else float("nan")
-            log_rho_par = math.log(res["rho_par"]) if res["rho_par"] > 0 else float("nan")
-            rows.append((
-                panel, n, p, s, r, seed,
-                res["rho_seq"], log_rho_seq, res["rho_par"], log_rho_par,
-                res["seq_converged"], res["assumption1_satisfied"],
-            ))
-        point_rows = [dict(zip(header, row)) for row in rows[-cfg.replications:]]
+    for (panel, n, p, s), point_rows in zip(points, by_point):
         tag = f"p={p}" if panel == "left" else f"s={s}"
         for scheme, color in (("seq", 1), ("par", 0)):
             logs = [row[f"log_rho_{scheme}"] for row in point_rows if row["seq_converged"]]
             groups.append((f"{panel} {tag} {scheme}", logs, color))
-    out = _ensure_out(cfg)
-    write_csv(os.path.join(out, "rho.csv"), header, rows)
+    every = [row for point_rows in by_point for row in point_rows]
+    rows = [tuple(row[name] for name in header) for row in every]
+    _write_tables(cfg, [("rho.csv", header, rows)])
     svgplot.box_plot(
-        os.path.join(out, "rho_boxplot.svg"),
+        os.path.join(cfg.out_dir, "rho_boxplot.svg"),
         groups,
         title="log spectral radius by scheme and grid point",
         xlabel="grid point",
         ylabel="log rho",
     )
-    n_failed = sum(not converged for *_, converged, _ in rows)
+    n_failed = sum(not row["seq_converged"] for row in every)
+    n_singular = sum(row["core_singular"] for row in every)
     if n_failed:
         print(f"note: {n_failed} replicate(s) did not converge and are excluded from boxplots")
     if n_singular:
@@ -277,13 +285,8 @@ def cmd_spectral_study(cfg: StudyConfig):
 
 def cmd_verify(cfg: StudyConfig) -> int:
     """Run the oracle suite, write verify.csv, and return the exit status."""
-    out = _ensure_out(cfg)
     results = verify.run_checks(seed=cfg.master_seed, progress=lambda m: print(f"verify: {m}"))
-    write_csv(
-        os.path.join(out, "verify.csv"),
-        ["name", "metric", "threshold", "pass"],
-        results,
-    )
+    _write_tables(cfg, [("verify.csv", ["name", "metric", "threshold", "pass"], results)])
     failed = [r.name for r in results if not r.passed]
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}  metric={r.metric:.3g}")
@@ -294,35 +297,31 @@ def cmd_verify(cfg: StudyConfig) -> int:
 
 
 def cmd_wigner_check(cfg: StudyConfig):
-    """Replicated :func:`stability.wigner_stat`, the saturated parallel radius, over (n, p)."""
+    """Replicated :func:`stability.wigner_stat`, the saturated parallel radius,
+    over the (n, p) pairs, n-major; each pair's summary quantiles are read
+    from its rows."""
     points = [(int(n), int(p)) for n in cfg.n for p in cfg.p]
     for n, p in points:
         if not 2 <= p <= n:
             raise ConfigError(f"wigner-check needs 2 <= p <= n, got n={n}, p={p}")
-    out = _ensure_out(cfg)
     tau = cfg.hyper.tau
-    rows = []
-    summaries = []
-    for n, p in points:
-        ratios = []
-        for r in range(cfg.replications):
-            seed = replicate_seed(cfg.master_seed, r)
-            X = gen_design(GenSpec(n=n, p=p, s=0, seed=seed))
-            stat = stability.wigner_stat(X, tau)
-            rows.append((n, p, tau, seed, stat.norm, stat.ratio))
-            ratios.append(stat.ratio)
-        qs = np.percentile(ratios, [0, 25, 50, 75, 100])
-        summaries.append((n, p, tau, *qs))
-    write_csv(
-        os.path.join(out, "wigner.csv"),
-        ["n", "p", "tau", "seed", "norm", "ratio"],
-        rows,
-    )
-    write_csv(
-        os.path.join(out, "wigner_summary.csv"),
-        ["n", "p", "tau", "ratio_min", "ratio_q25", "ratio_median", "ratio_q75", "ratio_max"],
-        summaries,
-    )
+
+    def replicate(point, r, seed):
+        X = gen_design(GenSpec(n=point[0], p=point[1], s=0, seed=seed))
+        stat = stability.wigner_stat(X, tau)
+        return (*point, tau, seed, stat.norm, stat.ratio)
+
+    by_point = _study(cfg, points, replicate)
+    summaries = [
+        (n, p, tau, *np.percentile([ratio for *_, ratio in point_rows], [0, 25, 50, 75, 100]))
+        for (n, p), point_rows in zip(points, by_point)
+    ]
+    rows = [row for point_rows in by_point for row in point_rows]
+    _write_tables(cfg, [
+        ("wigner.csv", ["n", "p", "tau", "seed", "norm", "ratio"], rows),
+        ("wigner_summary.csv", ["n", "p", "tau", "ratio_min", "ratio_q25", "ratio_median",
+                                "ratio_q75", "ratio_max"], summaries),
+    ])
     return rows
 
 

@@ -12,7 +12,7 @@ import sys
 
 from sscavi import engines, harness
 from sscavi.model import Hyperparams, precompute
-from sscavi.synth import GenSpec, make_dataset
+from sscavi.synth import GenSpec, make_dataset, replicate_seed
 
 TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
@@ -65,3 +65,26 @@ def test_tracer_counters_read_the_call_forms():
     for name, attrs in package.items():
         module = sys.modules[name]
         assert all(getattr(module, attr) is value for attr, value in attrs.items()), name
+
+
+def test_study_calls_the_swapped_replicate(tmp_path):
+    # The benchmark times replicates by swapping its own callable in as
+    # harness.spectral_replicate; the study must look the name up at each
+    # call, not bind it early, or the benchmark records no latencies.
+    calls = []
+    original = harness.spectral_replicate
+
+    def counting(n, p, s, seed, *args):
+        calls.append((n, p, s, seed))
+        return original(n, p, s, seed, *args)
+
+    cfg = harness.StudyConfig(out_dir=str(tmp_path / "ss"), mode="spectral_study",
+                              n=(60,), p=(8,), s=(2, 6), replications=2, master_seed=5,
+                              panel="right", explicit_grids=frozenset({"n", "p", "s"}))
+    harness.spectral_replicate = counting
+    try:
+        rows = harness.cmd_spectral_study(cfg)
+    finally:
+        harness.spectral_replicate = original
+    assert calls == [(60, 8, s, replicate_seed(5, r)) for s in (2, 6) for r in range(2)]
+    assert [tuple(row[1:4]) + (row[5],) for row in rows] == calls

@@ -1,6 +1,7 @@
 """Harness and CLI tests: file outputs, determinism, config handling, exit codes."""
 
 import csv
+import importlib
 import os
 import re
 import subprocess
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from sscavi import cli, engines, harness
 from sscavi.harness import ConfigError, StudyConfig
 from sscavi.model import Hyperparams
+from sscavi.synth import replicate_seed
 
 
 def _cfg(out_dir, **kw):
@@ -106,6 +108,43 @@ def test_spectral_study_common_design_across_sparsity(tmp_path):
     rows = harness.cmd_spectral_study(cfg)
     # same replicate index, different s: identical seed hence identical design
     assert rows[0][5] == rows[1][5]
+
+
+def test_studies_write_replicates_in_canonical_order(tmp_path):
+    # replicate r draws from replicate_seed(seed, r) at every grid point; the
+    # rows run point by point in the documented order, then replicate by
+    # replicate, and each wigner summary quantile is read from its point's rows
+    seed, reps = 11, 2
+    out = tmp_path / "ss"
+    assert cli.main(["spectral-study", "--reps", str(reps), "--seed", str(seed),
+                     "--out", str(out)]) == 0
+    points = ([("left", 100, p, p) for p in harness.DEFAULT_LEFT_P_GRID]
+              + [("right", 200, 50, s) for s in harness.DEFAULT_RIGHT_S_GRID])
+    with open(out / "rho.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["panel"], int(r["n"]), int(r["p"]), int(r["s"])) for r in rows] == [
+        point for point in points for _ in range(reps)]
+    assert [int(r["replicate"]) for r in rows] == [r for _ in points for r in range(reps)]
+    assert [int(r["seed"]) for r in rows] == [
+        replicate_seed(seed, r) for _ in points for r in range(reps)]
+
+    out = tmp_path / "w"
+    assert cli.main(["wigner-check", "--n", "40,60", "--p", "10,20", "--reps", str(reps),
+                     "--seed", str(seed), "--out", str(out)]) == 0
+    points = [(40, 10), (40, 20), (60, 10), (60, 20)]
+    with open(out / "wigner.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(int(r["n"]), int(r["p"])) for r in rows] == [
+        point for point in points for _ in range(reps)]
+    assert [int(r["seed"]) for r in rows] == [
+        replicate_seed(seed, r) for _ in points for r in range(reps)]
+    with open(out / "wigner_summary.csv") as fh:
+        summaries = list(csv.DictReader(fh))
+    assert [(int(r["n"]), int(r["p"])) for r in summaries] == points
+    for i, summary in enumerate(summaries):
+        ratios = [float(r["ratio"]) for r in rows[i * reps:(i + 1) * reps]]
+        assert float(summary["ratio_min"]) == min(ratios)
+        assert float(summary["ratio_max"]) == max(ratios)
 
 
 def test_spectral_study_rejects_grids_with_both_panels(tmp_path):
@@ -355,12 +394,36 @@ def test_cli_rejects_unreadable_or_repeated_config(tmp_path, capsys):
 def test_cli_out_of_memory_exit(tmp_path):
     # 10^9 x 10^9 doubles (6.94 EiB) exceed any address space, so numpy
     # refuses the design at once and nothing is allocated
-    out = tmp_path / "huge"
-    proc = _cli_subprocess(["gen-data", "--n", "1000000000", "--p", "1000000000", "--s", "1",
-                            "--out", str(out)])
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("out of memory: ")
-    assert "Traceback" not in proc.stderr
+    huge = ["--n", "1000000000", "--p", "1000000000"]
+    for argv in (["gen-data", *huge, "--s", "1"], ["wigner-check", *huge, "--reps", "1"]):
+        out = tmp_path / argv[0]
+        proc = _cli_subprocess([*argv, "--out", str(out)])
+        assert proc.returncode == 1, argv
+        assert proc.stderr.startswith("out of memory: "), argv
+        assert "Traceback" not in proc.stderr
+        assert not out.exists(), argv
+
+
+@pytest.mark.parametrize("command, module, name", [
+    ("spectral-study", "harness", "spectral_replicate"),
+    ("wigner-check", "stability", "wigner_stat"),
+    ("run-example", "engines", "run"),
+    ("verify", "verify", "run_checks"),
+])
+def test_cli_failure_leaves_no_output_directory(tmp_path, capsys, monkeypatch,
+                                                command, module, name):
+    # every command makes its directory only when it writes, so one whose
+    # computation fails leaves none
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(importlib.import_module(f"sscavi.{module}"), name, failing)
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out)]
+    if command in ("spectral-study", "wigner-check"):
+        argv += ["--reps", "1"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("numerical failure: ")
     assert not out.exists()
 
 
